@@ -200,6 +200,15 @@ class ClusterSim:
         return decision_uniform(self.seed, "resident", owner, key) \
             < fraction
 
+    def _residency(self, traffic: OpenLoopZipfian) -> dict[int, bool]:
+        """:meth:`pool_resident` of every distinct key in the trace.
+
+        The decision is a pure function of the key, so one lookup per
+        distinct key serves every request for it, in any order.
+        """
+        return {key: self.pool_resident(key)
+                for key in dict.fromkeys(traffic.keys.tolist())}
+
     # -- the run -----------------------------------------------------------
 
     def run(self, qps: float, *, theta: float = 0.99,
@@ -213,6 +222,7 @@ class ClusterSim:
         traffic = OpenLoopZipfian(
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
             theta=theta, write_fraction=write_fraction, seed=self.seed)
+        residency = self._residency(traffic)
         engine = Engine(telemetry=self.telemetry)
         tracer = self.telemetry.tracer
         traced = tracer.enabled
@@ -268,7 +278,7 @@ class ClusterSim:
         def submit(index: int, arrival: float, key: int,
                    is_write: bool) -> None:
             owner = topo.shard_of(key)
-            resident = self.pool_resident(key)
+            resident = residency[key]
             penalty = 0.0
             rerouted_from: int | None = None
             if resident:
@@ -443,6 +453,7 @@ class ClusterSim:
         traffic = OpenLoopZipfian(
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
             theta=theta, write_fraction=write_fraction, seed=self.seed)
+        residency = self._residency(traffic)
         engine = Engine(telemetry=self.telemetry)
         tracer = self.telemetry.tracer
         traced = tracer.enabled
@@ -759,7 +770,7 @@ class ClusterSim:
         def submit(index: int, arrival: float, key: int,
                    is_write: bool) -> None:
             owner = topo.shard_of(key)
-            resident = self.pool_resident(key)
+            resident = residency[key]
             state = {"settled": False, "won": False, "outstanding": 0,
                      "tried": set(), "chain": 0,
                      "pending_retry": False}

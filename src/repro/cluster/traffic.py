@@ -68,20 +68,19 @@ class OpenLoopZipfian:
             1e9 / qps, size=num_requests)
         self.arrival_ns = np.cumsum(gaps)
 
-        chooser = ZipfianKeys(keyspace, theta)
-        key_rng = substream(f"{stream}/keys", seed)
-        self.keys = np.fromiter(
-            (chooser.next_key(key_rng) for _ in range(num_requests)),
-            dtype=np.int64, count=num_requests)
+        self.keys = ZipfianKeys(keyspace, theta).next_keys(
+            substream(f"{stream}/keys", seed), num_requests)
 
         self.writes = substream(f"{stream}/writes", seed).random(
             num_requests) < write_fraction
 
     def requests(self) -> list[Request]:
         """The trace as arrival-ordered :class:`Request` records."""
-        return [Request(index=i, arrival_ns=float(self.arrival_ns[i]),
-                        key=int(self.keys[i]), is_write=bool(self.writes[i]))
-                for i in range(self.num_requests)]
+        return [Request(index=i, arrival_ns=arrival, key=key,
+                        is_write=is_write)
+                for i, (arrival, key, is_write) in enumerate(zip(
+                    self.arrival_ns.tolist(), self.keys.tolist(),
+                    self.writes.tolist()))]
 
     @property
     def duration_ns(self) -> float:

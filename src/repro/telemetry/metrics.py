@@ -19,6 +19,7 @@ here without regressing the hot DES loops.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 from ..errors import TelemetryError
 
@@ -139,11 +140,13 @@ class Histogram:
         self._samples.append(value)
         self._sorted = None
         self._sum += value
-        for index, bound in enumerate(self.buckets):
-            if value <= bound:
-                self._counts[index] += 1
-                return
-        self._overflow += 1
+        # The first bound >= value; NaN compares false with every bound,
+        # so it overflows rather than landing where bisect would put it.
+        index = bisect_left(self.buckets, value)
+        if index < len(self._counts) and not math.isnan(value):
+            self._counts[index] += 1
+        else:
+            self._overflow += 1
 
     def __len__(self) -> int:
         return len(self._samples)

@@ -77,9 +77,8 @@ class TieringSimulator:
                      rng: np.random.Generator) -> np.ndarray:
         """Zipfian page stream, rotated by the current hot-set shift."""
         zipf = ZipfianKeys(self.num_pages)
-        ranks = np.array([zipf.next_rank(rng)
-                          for _ in range(self.accesses_per_epoch)])
-        ranks = np.minimum(ranks, self.num_pages - 1)
+        ranks = np.minimum(zipf.next_ranks(rng, self.accesses_per_epoch),
+                           self.num_pages - 1)
         shift = (epoch // self.shift_every) * (self.num_pages // 7)
         return (ranks + shift) % self.num_pages
 

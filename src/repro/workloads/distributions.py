@@ -12,6 +12,8 @@ variant spreading hot keys over the keyspace via FNV hashing.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..errors import WorkloadError
@@ -29,6 +31,20 @@ def fnv1a_64(value: int) -> int:
     for byte in data:
         hashed ^= byte
         hashed = (hashed * _FNV_PRIME) % (1 << 64)
+    return hashed
+
+
+def fnv1a_64_array(values) -> np.ndarray:
+    """:func:`fnv1a_64` of every element, as a uint64 array.
+
+    The same eight little-endian byte rounds, applied column-wise;
+    uint64 multiplication wraps at 2**64 exactly as the scalar's modulo.
+    """
+    data = np.asarray(values, dtype=np.uint64)
+    hashed = np.full(data.shape, _FNV_OFFSET, dtype=np.uint64)
+    for shift in range(0, 64, 8):
+        hashed ^= (data >> np.uint64(shift)) & np.uint64(0xFF)
+        hashed *= np.uint64(_FNV_PRIME)
     return hashed
 
 
@@ -94,9 +110,12 @@ class ZipfianKeys(KeyChooser):
                          / denominator)
 
     @staticmethod
+    @lru_cache(maxsize=64)
     def _zeta(n: int, theta: float) -> float:
         # Exact for small n; Euler–Maclaurin tail for large n keeps this
-        # O(1)-ish instead of summing millions of terms.
+        # O(1)-ish instead of summing millions of terms.  Memoized: one
+        # cluster run needs the same ζ for its trace, cache_hit_prob and
+        # hot_mass, and the head alone is up to 10,000 terms.
         cutoff = 10_000
         head = sum(1.0 / i ** theta for i in range(1, min(n, cutoff) + 1))
         if n <= cutoff:
@@ -118,6 +137,33 @@ class ZipfianKeys(KeyChooser):
     def next_key(self, rng: np.random.Generator) -> int:
         rank = min(self.next_rank(rng), self.keyspace - 1)
         return fnv1a_64(rank) % self.keyspace
+
+    def next_ranks(self, rng: np.random.Generator,
+                   size: int) -> np.ndarray:
+        """``size`` successive :meth:`next_rank` draws as an int64 array.
+
+        ``rng.random(size)`` yields the same doubles, and leaves the
+        stream in the same state, as ``size`` scalar calls.  Each
+        uniform then takes the same branch through the same float
+        operations; the power stays Python's ``**`` so no vector math
+        library can round it differently.
+        """
+        u = rng.random(size)
+        uz = u * self._zetan
+        ranks = np.zeros(size, dtype=np.int64)
+        ranks[uz >= 1.0] = 1
+        tail = uz >= 1.0 + 0.5 ** self.theta
+        n, alpha = self.keyspace, self._alpha
+        ranks[tail] = [int(n * base ** alpha) for base in
+                       (self._eta * u[tail] - self._eta + 1).tolist()]
+        return ranks
+
+    def next_keys(self, rng: np.random.Generator,
+                  size: int) -> np.ndarray:
+        """``size`` successive :meth:`next_key` draws as an int64 array."""
+        ranks = np.minimum(self.next_ranks(rng, size), self.keyspace - 1)
+        return (fnv1a_64_array(ranks) % np.uint64(self.keyspace)) \
+            .astype(np.int64)
 
     def grow(self, new_keyspace: int) -> None:
         super().grow(new_keyspace)

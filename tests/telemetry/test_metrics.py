@@ -1,5 +1,7 @@
 """Counter/gauge/histogram semantics and the registry."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -13,6 +15,7 @@ from repro.telemetry import (
     Registry,
     interpolate_percentile,
 )
+from repro.telemetry.metrics import default_latency_buckets_ns
 
 
 class TestCounter:
@@ -81,6 +84,44 @@ class TestHistogram:
             hist.record(value)
         pairs = hist.bucket_counts()
         assert pairs == [(10.0, 2), (100.0, 1), (float("inf"), 1)]
+
+    @staticmethod
+    def _linear_bucketing(buckets, values):
+        """Reference bucketing: the first bound at or above the value,
+        else overflow, by a linear scan."""
+        counts, overflow = [0] * len(buckets), 0
+        for value in values:
+            for index, bound in enumerate(buckets):
+                if value <= bound:
+                    counts[index] += 1
+                    break
+            else:
+                overflow += 1
+        return list(zip(buckets, counts)) + [(math.inf, overflow)]
+
+    @pytest.mark.parametrize("buckets", [
+        (10.0,), (10.0, 100.0), default_latency_buckets_ns()])
+    def test_bucketing_matches_linear_scan(self, buckets):
+        values = [0.0, -0.0, -1.0, -math.inf, math.inf, math.nan,
+                  -math.nan, 1e300]
+        for bound in buckets:
+            values += [bound, math.nextafter(bound, -math.inf),
+                       math.nextafter(bound, math.inf)]
+        hist = Histogram("h", buckets=buckets)
+        for value in values:
+            hist.record(value)
+        assert hist.bucket_counts() \
+            == self._linear_bucketing(buckets, values)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True),
+                    max_size=60))
+    def test_bucketing_matches_linear_scan_on_any_floats(self, values):
+        buckets = (1.0, 10.0, 1e6)
+        hist = Histogram("h", buckets=buckets)
+        for value in values:
+            hist.record(value)
+        assert hist.bucket_counts() \
+            == self._linear_bucketing(buckets, values)
 
     def test_non_increasing_buckets_rejected(self):
         with pytest.raises(TelemetryError):
