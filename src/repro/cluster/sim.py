@@ -32,6 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import numpy as np
+
 from ..apps.kvstore.store import (CPU_BASE_NS, CPU_JITTER_SIGMA,
                                   EFFECTIVE_MISSES_MEAN, MISS_JITTER_SIGMA)
 from ..errors import ClusterError
@@ -40,11 +42,12 @@ from ..faults.injector import FaultInjector, injector_for
 from ..sim import Engine, LatencyRecorder, Server
 from ..sim.rng import decision_uniform, substream
 from ..telemetry import NULL_TELEMETRY, Telemetry
+from ..telemetry.metrics import interpolate_percentile
 from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
                          SHED_REJECT, SHED_REJECT_NS, CircuitBreaker,
                          ResiliencePolicy, ResilienceStats, RetryBudget,
                          hedge_delay_ns, parse_policy)
-from .routing import HostView, Router, make_router
+from .routing import HashShardRouter, HostView, Router, make_router
 from .topology import ClusterTopology
 from .traffic import OpenLoopZipfian
 
@@ -147,6 +150,93 @@ class ClusterResult:
         return self.achieved_qps * (self.successes / self.requests)
 
 
+def lindley(arrival_ns: np.ndarray, service_ns: np.ndarray,
+            station: np.ndarray, stations: int
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Finish times and DES grant order of capacity-1 FIFO stations.
+
+    Request ``i`` arrives at ``arrival_ns[i]`` (non-decreasing in
+    ``i``) at station ``station[i]`` and holds it for ``service_ns[i]``.
+    Each station serves its requests in index order:
+    ``start = arrival if idle else previous finish`` and
+    ``finish = start + service``, the same float operations the engine
+    performs with one arrival event per request (scheduled up front, in
+    index order) and one finish event per grant.  Returns ``(finish,
+    order)`` with ``order`` from :func:`grant_order`.
+    """
+    n = len(arrival_ns)
+    finish = np.empty(n)
+    grant = np.empty(n)
+    after_finish = np.zeros(n, dtype=bool)
+    predecessor = np.full(n, -1, dtype=np.int64)
+    for host in range(stations):
+        mine = np.flatnonzero(station == host)
+        if not len(mine):
+            continue
+        grants, finishes, waited = [], [], []
+        done = -np.inf
+        for arrival, service in zip(arrival_ns[mine].tolist(),
+                                    service_ns[mine].tolist()):
+            # At an equal instant the arrival event fires first (lower
+            # sequence number) and queues; the finish event grants it.
+            queued = arrival <= done
+            start = done if queued else arrival
+            done = start + service
+            grants.append(start)
+            finishes.append(done)
+            waited.append(queued)
+        finish[mine] = finishes
+        grant[mine] = grants
+        after_finish[mine] = waited
+        predecessor[mine[1:]] = mine[:-1]
+    return finish, grant_order(grant, after_finish, predecessor)
+
+
+def grant_order(grant_ns: np.ndarray, after_finish: np.ndarray,
+                predecessor: np.ndarray) -> np.ndarray:
+    """Request indices in the order the DES grants their slots.
+
+    ``grant_ns[i]`` is when request ``i`` got its slot;
+    ``after_finish[i]`` marks a grant made by the finish event of
+    ``predecessor[i]`` (the request ahead of it on its station) rather
+    than by its own arrival event.  The engine fires events by (time,
+    sequence number).  Every arrival was scheduled before any finish,
+    arrivals in index order, and each finish when its request was
+    granted.  So grants sort by time; at one instant arrival grants come
+    first, by index, then finish grants by their predecessor's rank.
+    """
+    n = len(grant_ns)
+    order = np.lexsort((np.arange(n), after_finish, grant_ns))
+    at = grant_ns[order]
+    by_finish = after_finish[order]
+    tied = (at[1:] == at[:-1]) & by_finish[1:] & by_finish[:-1]
+    if not tied.any():
+        return order
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # Runs of finish grants at one instant, earliest first.  A
+    # predecessor was granted strictly before it finished, so its rank
+    # is final by the time its successor's run is sorted.
+    edges = np.diff(np.concatenate(([0], tied.astype(np.int8), [0])))
+    for lo, hi in zip(np.flatnonzero(edges == 1).tolist(),
+                      np.flatnonzero(edges == -1).tolist()):
+        run = order[lo:hi + 1]
+        run = run[np.argsort(rank[predecessor[run]], kind="stable")]
+        order[lo:hi + 1] = run
+        rank[run] = np.arange(lo, hi + 1)
+    return order
+
+
+def _p50_p99(samples: np.ndarray) -> tuple[float, float]:
+    """What :class:`~repro.sim.LatencyRecorder` reports for ``samples``
+    (both 0 when empty)."""
+    if not len(samples):
+        return 0.0, 0.0
+    ordered = np.sort(samples).tolist()
+    return (interpolate_percentile(ordered, 50.0),
+            interpolate_percentile(ordered, 99.0))
+
+
 class ClusterSim:
     """Drives a :class:`ClusterTopology` under open-loop zipfian load."""
 
@@ -203,11 +293,69 @@ class ClusterSim:
     def _residency(self, traffic: OpenLoopZipfian) -> dict[int, bool]:
         """:meth:`pool_resident` of every distinct key in the trace.
 
-        The decision is a pure function of the key, so one lookup per
-        distinct key serves every request for it, in any order.
+        The decision is a pure function of the key, so one draw per
+        distinct key serves every request for it, in any order.  The
+        keyspace check and the per-host pool fractions are done once
+        per trace instead of once per key.
         """
-        return {key: self.pool_resident(key)
-                for key in dict.fromkeys(traffic.keys.tolist())}
+        topo = self.topology
+        keys = traffic.keys
+        outside = (keys < 0) | (keys >= topo.total_keys)
+        if outside.any():
+            raise ClusterError(
+                f"key {int(keys[outside.argmax()])} outside keyspace")
+        per_host = topo.keys_per_host
+        fractions = [host.pool_fraction for host in topo.hosts]
+        seed = self.seed
+        residency = {}
+        for key in dict.fromkeys(keys.tolist()):
+            owner = key // per_host
+            fraction = fractions[owner]
+            residency[key] = fraction > 0.0 and decision_uniform(
+                seed, "resident", owner, key) < fraction
+        return residency
+
+    def _injectors(self) -> dict[int, FaultInjector]:
+        """One fault injector per host with an active plan."""
+        injectors = {}
+        for index, plan in self.fault_plans.items():
+            injector = injector_for(plan, stream=f"host{index}",
+                                    telemetry=self.telemetry)
+            if injector is not None:
+                injectors[index] = injector
+        return injectors
+
+    def _host_results(self, injectors: dict[int, FaultInjector],
+                      served: list[int],
+                      quantiles: list[tuple[float, float]],
+                      link_injected: list[int],
+                      link_recovered: list[int],
+                      absorbed: list[int]) -> tuple[HostResult, ...]:
+        hosts = []
+        for index, host in enumerate(self.topology.hosts):
+            injector = injectors.get(index)
+            inj = (injector.injected if injector else 0) \
+                + link_injected[index]
+            rec = (injector.recovered if injector else 0) \
+                + link_recovered[index]
+            p50, p99 = quantiles[index]
+            hosts.append(HostResult(
+                name=host.name, index=index, requests=served[index],
+                p50_ns=p50, p99_ns=p99,
+                injected=inj, recovered=rec, absorbed=absorbed[index],
+                pool_fraction=host.pool_fraction))
+        return tuple(hosts)
+
+    def _publish(self, completed: int, p99_ns: float, achieved: float,
+                 hosts: tuple[HostResult, ...]) -> None:
+        """The run's ``cluster.*`` registry entries."""
+        registry = self.telemetry.registry
+        registry.counter("cluster.requests").inc(completed)
+        registry.gauge("cluster.p99_sojourn_ns").set(p99_ns)
+        registry.gauge("cluster.achieved_qps").set(achieved)
+        for result in hosts:
+            registry.gauge(
+                f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
 
     # -- the run -----------------------------------------------------------
 
@@ -218,6 +366,129 @@ class ClusterSim:
             return self._run_resilient(qps, theta=theta,
                                        requests=requests,
                                        write_fraction=write_fraction)
+        if (type(self.router) is HashShardRouter
+                and all(host.spec.workers == 1
+                        for host in self.topology.hosts)
+                and not self.telemetry.tracer.enabled
+                and not self.telemetry.spans.enabled):
+            # Load-blind routing over capacity-1 FIFO hosts needs no
+            # event queue: the Lindley recursion replays the DES
+            # float for float (docs/PERFORMANCE.md).
+            return self._run_lindley(qps, theta=theta, requests=requests,
+                                     write_fraction=write_fraction)
+        return self._run_des(qps, theta=theta, requests=requests,
+                             write_fraction=write_fraction)
+
+    def _run_lindley(self, qps: float, *, theta: float, requests: int,
+                     write_fraction: float) -> ClusterResult:
+        """The policy-free run without an event queue.
+
+        Exact for hash-shard routing, one worker per host, tracing and
+        spans off (the :meth:`run` gate); ``tests/cluster/
+        test_fastpath.py`` pins it equal to :meth:`_run_des`:
+
+        * hash-shard routing reads only link state.  The link-down
+          event is scheduled before every arrival, so request ``i``
+          finds its owner down iff ``arrival_i >= at_fraction *
+          duration_ns``, and with one dead host the probe lands on
+          ``(host + 1) % num_hosts``;
+        * service times are the DES float operations, column-wise;
+          fault draws are keyed by request index, so their call order
+          does not matter;
+        * :func:`lindley` replays each host's FIFO queue, and the mean
+          service sums sequentially in the DES grant order.
+        """
+        topo = self.topology
+        traffic = OpenLoopZipfian(
+            qps=qps, num_requests=requests, keyspace=topo.total_keys,
+            theta=theta, write_fraction=write_fraction, seed=self.seed)
+        residency = self._residency(traffic)
+        injectors = self._injectors()
+        n = requests
+        num_hosts = topo.num_hosts
+        arrival = traffic.arrival_ns
+        keys = traffic.keys
+        resident = np.fromiter(map(residency.__getitem__, keys.tolist()),
+                               dtype=bool, count=n)
+        owner = keys // topo.keys_per_host
+        target = owner.copy()
+        reroute = np.zeros(n, dtype=bool)
+        down = self.link_down
+        if down is not None:
+            reroute = resident & (owner == down.host) \
+                & (arrival >= down.at_fraction * traffic.duration_ns)
+            target[reroute] = (down.host + 1) % num_hosts
+
+        cpu = CPU_BASE_NS * substream("cluster/cpu", self.seed).lognormal(
+            0.0, CPU_JITTER_SIGMA, size=n)
+        misses = EFFECTIVE_MISSES_MEAN * substream(
+            "cluster/miss", self.seed).lognormal(
+                0.0, MISS_JITTER_SIGMA, size=n)
+        misses = np.where(traffic.writes, misses * WRITE_MISS_FACTOR,
+                          misses)
+        cache_u = substream("cluster/cache", self.seed).random(n)
+        misses = np.where(cache_u < topo.cache_hit_prob(theta),
+                          misses * CACHE_HIT_MISS_FACTOR, misses)
+        pool_ns = np.array([topo.pool_read_ns(host)
+                            for host in range(num_hosts)])
+        mem = misses * np.where(resident, pool_ns[owner],
+                                topo.dram_read_ns())
+        extra = np.where(reroute, REROUTE_HOP_NS, 0.0)
+        for host, injector in injectors.items():
+            for index in np.flatnonzero(resident & (target == host)).tolist():
+                parts, pending = injector.request_extras(
+                    index, reread_ns=float(mem[index]))
+                total = float(extra[index])
+                for _, part_ns in parts:
+                    total += part_ns
+                extra[index] = total
+                for _ in range(pending):
+                    injector.recovery()
+        service = cpu + mem + extra
+
+        finish, order = lindley(arrival, service, target, num_hosts)
+        service_total = 0.0
+        for value in service[order].tolist():
+            service_total += value       # sequential, like the DES
+        sojourn = finish - arrival
+        last = float(finish.max())
+
+        rerouted = int(reroute.sum())
+        link_injected = [0] * num_hosts
+        link_recovered = [0] * num_hosts
+        absorbed = [0] * num_hosts
+        if down is not None:
+            link_injected[down.host] = link_recovered[down.host] = rerouted
+            absorbed[(down.host + 1) % num_hosts] = rerouted
+        served = np.bincount(target, minlength=num_hosts).tolist()
+        hosts = self._host_results(
+            injectors, served,
+            [_p50_p99(sojourn[target == host]) for host in range(num_hosts)],
+            link_injected, link_recovered, absorbed)
+
+        # Registry parity with the DES: the engine's end-of-run gauges
+        # (an arrival and a finish event per request, plus the link
+        # kill; the clock left at the last completion), then cluster.*.
+        registry = self.telemetry.registry
+        registry.gauge("sim.engine.events_processed").set(
+            2 * n + (down is not None))
+        registry.gauge("sim.engine.now_ns").set(last)
+        p50, p99 = _p50_p99(sojourn)
+        achieved = n / (last / 1e9)
+        self._publish(n, p99, achieved, hosts)
+
+        return ClusterResult(
+            qps=qps, theta=theta, pool_share=topo.pool_share,
+            requests=n, achieved_qps=achieved, p50_ns=p50, p99_ns=p99,
+            mean_service_ns=service_total / n,
+            pool_utilization=topo.pool_utilization(),
+            rerouted=rerouted,
+            link_down_host=down.host if down is not None else None,
+            hosts=hosts)
+
+    def _run_des(self, qps: float, *, theta: float, requests: int,
+                 write_fraction: float) -> ClusterResult:
+        """The policy-free request lifecycle on the event engine."""
         topo = self.topology
         traffic = OpenLoopZipfian(
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
@@ -234,12 +505,7 @@ class ClusterSim:
         host_sojourn = [LatencyRecorder(f"{host.name}-sojourn")
                         for host in topo.hosts]
         cluster_sojourn = LatencyRecorder("cluster-sojourn")
-        injectors: dict[int, FaultInjector] = {}
-        for index, plan in self.fault_plans.items():
-            injector = injector_for(plan, stream=f"host{index}",
-                                    telemetry=self.telemetry)
-            if injector is not None:
-                injectors[index] = injector
+        injectors = self._injectors()
 
         dram_ns = topo.dram_read_ns()
         # Per-owner pool path: with one CXL device every entry is the
@@ -394,29 +660,14 @@ class ClusterSim:
             raise ClusterError(
                 f"only {completed[0]}/{requests} requests completed")
 
-        hosts = []
-        for index, host in enumerate(topo.hosts):
-            injector = injectors.get(index)
-            inj = (injector.injected if injector else 0) \
-                + link_injected[index]
-            rec = (injector.recovered if injector else 0) \
-                + link_recovered[index]
-            recorder = host_sojourn[index]
-            hosts.append(HostResult(
-                name=host.name, index=index, requests=served[index],
-                p50_ns=recorder.p50() if len(recorder) else 0.0,
-                p99_ns=recorder.p99() if len(recorder) else 0.0,
-                injected=inj, recovered=rec, absorbed=absorbed[index],
-                pool_fraction=host.pool_fraction))
+        hosts = self._host_results(
+            injectors, served,
+            [(recorder.p50(), recorder.p99()) if len(recorder)
+             else (0.0, 0.0) for recorder in host_sojourn],
+            link_injected, link_recovered, absorbed)
 
-        registry = self.telemetry.registry
-        registry.counter("cluster.requests").inc(completed[0])
-        registry.gauge("cluster.p99_sojourn_ns").set(cluster_sojourn.p99())
         achieved = completed[0] / (last_completion[0] / 1e9)
-        registry.gauge("cluster.achieved_qps").set(achieved)
-        for result in hosts:
-            registry.gauge(
-                f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
+        self._publish(completed[0], cluster_sojourn.p99(), achieved, hosts)
 
         return ClusterResult(
             qps=qps, theta=theta, pool_share=topo.pool_share,
@@ -427,7 +678,7 @@ class ClusterSim:
             rerouted=rerouted[0],
             link_down_host=self.link_down.host
             if self.link_down is not None else None,
-            hosts=tuple(hosts))
+            hosts=hosts)
 
     # -- the resilient run -------------------------------------------------
 
@@ -465,12 +716,7 @@ class ClusterSim:
         host_sojourn = [LatencyRecorder(f"{host.name}-sojourn")
                         for host in topo.hosts]
         cluster_sojourn = LatencyRecorder("cluster-sojourn")
-        injectors: dict[int, FaultInjector] = {}
-        for index, plan in self.fault_plans.items():
-            injector = injector_for(plan, stream=f"host{index}",
-                                    telemetry=self.telemetry)
-            if injector is not None:
-                injectors[index] = injector
+        injectors = self._injectors()
 
         dram_ns = topo.dram_read_ns()
         pool_ns_by_host = [topo.pool_read_ns(host)
@@ -795,20 +1041,11 @@ class ClusterSim:
             raise ClusterError(
                 f"only {completed[0]}/{requests} requests settled")
 
-        hosts = []
-        for index, host in enumerate(topo.hosts):
-            injector = injectors.get(index)
-            inj = (injector.injected if injector else 0) \
-                + link_injected[index]
-            rec = (injector.recovered if injector else 0) \
-                + link_recovered[index]
-            recorder = host_sojourn[index]
-            hosts.append(HostResult(
-                name=host.name, index=index, requests=served[index],
-                p50_ns=recorder.p50() if len(recorder) else 0.0,
-                p99_ns=recorder.p99() if len(recorder) else 0.0,
-                injected=inj, recovered=rec, absorbed=absorbed[index],
-                pool_fraction=host.pool_fraction))
+        hosts = self._host_results(
+            injectors, served,
+            [(recorder.p50(), recorder.p99()) if len(recorder)
+             else (0.0, 0.0) for recorder in host_sojourn],
+            link_injected, link_recovered, absorbed)
 
         stats = ResilienceStats(
             ok=counts["ok"], ok_retried=counts["ok_retried"],
@@ -822,16 +1059,10 @@ class ClusterSim:
             breaker_opens=breaker.opens if breaker is not None else 0,
             wasted_ns=wasted[0])
 
-        registry = self.telemetry.registry
-        registry.counter("cluster.requests").inc(completed[0])
-        registry.gauge("cluster.p99_sojourn_ns").set(
-            cluster_sojourn.p99() if len(cluster_sojourn) else 0.0)
         achieved = completed[0] / (last_completion[0] / 1e9)
-        registry.gauge("cluster.achieved_qps").set(achieved)
-        for result in hosts:
-            registry.gauge(
-                f"cluster.host{result.index}.p99_ns").set(result.p99_ns)
-        registry.gauge("cluster.goodput_qps").set(
+        self._publish(completed[0], cluster_sojourn.p99()
+                      if len(cluster_sojourn) else 0.0, achieved, hosts)
+        self.telemetry.registry.gauge("cluster.goodput_qps").set(
             achieved * (stats.successes / completed[0]))
 
         return ClusterResult(
@@ -846,4 +1077,4 @@ class ClusterSim:
             rerouted=rerouted[0],
             link_down_host=self.link_down.host
             if self.link_down is not None else None,
-            hosts=tuple(hosts), resilience=stats)
+            hosts=hosts, resilience=stats)
