@@ -9,15 +9,16 @@ sojourn time (queue wait + service) is what the p99 curves plot.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from ...errors import WorkloadError
 from ...sim import Engine, LatencyRecorder, Server
+from ...sim.lindley import lindley, p50_p99
 from ...sim.rng import substream
 from ...telemetry import NULL_TELEMETRY, Telemetry
-from ...workloads.ycsb import Operation
-from .store import KvStore
+from .store import KvStore, QueryDraws
 
 KVSTORE_TRACK = "apps.kvstore"
 
@@ -72,11 +73,37 @@ class KvServer:
         if requests <= 0:
             raise WorkloadError(f"requests must be positive: {requests}")
         if (self.workers == 1 and not self.telemetry.enabled
-                and not self.telemetry.spans.enabled
-                and os.environ.get("REPRO_KV_FASTPATH", "") != "0"):
+                and not self.telemetry.spans.enabled):
             # A capacity-1 FIFO station needs no event queue: the
-            # Lindley recursion below replays the DES float-for-float.
+            # Lindley recursion replays the DES float-for-float.
             return self._run_fast(target_qps, requests)
+        return self._run_des(target_qps, requests)
+
+    def _draw(self, target_qps: float, requests: int
+              ) -> tuple[np.ndarray, QueryDraws, np.ndarray, np.ndarray]:
+        """``(arrival, draws, mem, service)`` columns of one run.
+
+        The exponential gaps come first in bulk, then one draw pass in
+        request-index order (:meth:`KvStore.draw_queries`).  A FIFO
+        server grants in arrival order at any worker count, so these
+        are the draws an event loop sampling at grant time would make.
+        Arrivals are a sequential cumsum (``arrival += gap``); ``mem``
+        is ``misses * miss_ns`` and ``service`` is ``cpu + mem``, the
+        per-request float operations column-wise.
+        """
+        arrivals = substream(f"arrivals-{self.seed}", self.seed)
+        gaps = arrivals.exponential(1e9 / target_qps, size=requests)
+        draws = self.store.draw_queries(arrivals, requests, inserts=True)
+        mem = draws.misses * self.store.miss_latency_of(draws.keys)
+        return gaps.cumsum(), draws, mem, draws.cpu + mem
+
+    def _run_des(self, target_qps: float, requests: int) -> RunResult:
+        """The event-driven run (tracing, spans, ``workers > 1``)."""
+        arrival_ns, draws, mem_ns, service_ns = \
+            self._draw(target_qps, requests)
+        ops, keys = draws.ops, draws.keys.tolist()
+        cpus, misses = draws.cpu.tolist(), draws.misses.tolist()
+        mems, services = mem_ns.tolist(), service_ns.tolist()
         engine = Engine(telemetry=self.telemetry)
         tracer = self.telemetry.tracer
         traced = tracer.enabled
@@ -85,25 +112,15 @@ class KvServer:
         name = ("redis-event-loop" if self.workers == 1
                 else f"memcached-{self.workers}w")
         server = Server(self.workers, name=name)
-        arrivals = substream(f"arrivals-{self.seed}", self.seed)
         sojourn = LatencyRecorder("sojourn")
         service_total = [0.0]
         completed = [0]
         last_completion = [0.0]
-        mean_gap_ns = 1e9 / target_qps
 
         def submit(index: int, arrival_time: float) -> None:
             def start() -> None:
-                op = self.store.workload.next_operation(arrivals)
-                if op is Operation.INSERT:
-                    # Workload D: new records append and become the
-                    # "latest" keys subsequent reads favor.
-                    key = self.store.insert_record()
-                else:
-                    key = self.store.chooser.next_key(arrivals)
-                cpu, misses, miss_ns = \
-                    self.store.sample_service_parts(op, key)
-                service = cpu + misses * miss_ns
+                op = ops[index]
+                service = services[index]
                 service_total[0] += service
 
                 def finish() -> None:
@@ -121,28 +138,27 @@ class KvServer:
                     engine.schedule(service, finish)
                     return
 
-                # Spanned path only: defaults bind start()'s locals so
-                # the spans-off closure above keeps its exact shape (no
-                # extra cells on the hot path).
-                def finish_spanned(key=key, cpu=cpu, misses=misses,
-                                   mem_total=misses * miss_ns,
-                                   grant=engine.now) -> None:
+                # Spanned path only: the default binds the grant
+                # instant, so the spans-off closure above keeps its
+                # exact shape (no extra cells on the hot path).
+                def finish_spanned(grant=engine.now) -> None:
                     finish()
                     # The memory part splits by the kind of node
                     # backing the record's lines; the second entry
                     # is a residual so the pair closes exactly on
                     # misses * miss_ns.
+                    mem_total = mems[index]
                     dram_share, cxl_share = \
-                        self.store.miss_node_split(key)
+                        self.store.miss_node_split(keys[index])
                     segments = [
                         ("client.wait", grant - arrival_time),
-                        ("kv.cpu", cpu)]
+                        ("kv.cpu", cpus[index])]
                     if cxl_share == 0.0:
                         segments.append(("mem.dram", mem_total))
                     elif dram_share == 0.0:
                         segments.append(("mem.cxl", mem_total))
                     else:
-                        dram_part = misses * dram_share
+                        dram_part = misses[index] * dram_share
                         segments.append(("mem.dram", dram_part))
                         segments.append(
                             ("mem.cxl", mem_total - dram_part))
@@ -153,11 +169,7 @@ class KvServer:
 
             server.acquire(start)
 
-        # Pre-draw all arrival times (exponential gaps).
-        gaps = arrivals.exponential(mean_gap_ns, size=requests)
-        arrival_time = 0.0
-        for index in range(requests):
-            arrival_time += float(gaps[index])
+        for index, arrival_time in enumerate(arrival_ns.tolist()):
             engine.schedule_at(arrival_time,
                                lambda i=index, t=arrival_time: submit(i, t))
         engine.run()
@@ -181,60 +193,38 @@ class KvServer:
         """The ``workers == 1`` analytic fast path (no event queue).
 
         With a single FIFO slot the DES collapses to the Lindley
-        recursion ``start_i = max(arrival_i, finish_{i-1})``,
-        ``finish_i = start_i + service_i``: arrival events carry the
-        lowest sequence numbers, so grants — and with them every RNG
-        draw (operation, key, service) — happen in arrival-index order
-        exactly as the engine replays them, and the float arithmetic
-        here is the same adds/compares the event loop performs.  The
-        result is byte-identical to the DES path
-        (``REPRO_KV_FASTPATH=0`` forces the engine for verification;
-        ``tests/apps/test_kv_fastpath.py`` pins the equivalence).
-        Tracing runs keep the DES path so per-request trace events and
-        engine trace spans still appear.
+        recursion (:func:`~repro.sim.lindley.lindley` on one station):
+        arrival events carry the lowest sequence numbers, so grants
+        happen in arrival-index order and the float arithmetic is the
+        same adds/compares the event loop performs.  ``service_total``
+        sums sequentially in that order, and p50/p99 are what the
+        DES's :class:`~repro.sim.LatencyRecorder` reports.  The result
+        is byte-identical to :meth:`_run_des`
+        (``tests/apps/test_kv_fastpath.py`` pins the equivalence).
         """
-        store = self.store
-        arrivals = substream(f"arrivals-{self.seed}", self.seed)
-        sojourn = LatencyRecorder("sojourn")
-        next_operation = store.workload.next_operation
-        insert_record = store.insert_record
-        chooser = store.chooser
-        sample_service_ns = store.sample_service_ns
-        record = sojourn.record
-        insert = Operation.INSERT
-
-        gaps = arrivals.exponential(1e9 / target_qps, size=requests)
-        arrival = 0.0
-        finish = 0.0
+        arrival, _, _, service = self._draw(target_qps, requests)
+        finish, _ = lindley(arrival, service,
+                            np.zeros(requests, dtype=np.int64), 1)
         service_total = 0.0
-        for index in range(requests):
-            arrival += float(gaps[index])
-            op = next_operation(arrivals)
-            if op is insert:
-                key = insert_record()
-            else:
-                key = chooser.next_key(arrivals)
-            service = sample_service_ns(op, key)
-            service_total += service
-            start = arrival if arrival >= finish else finish
-            finish = start + service
-            record(finish - arrival)
-
-        if finish <= 0:
+        for value in service.tolist():
+            service_total += value       # sequential, like the DES
+        last = float(finish[-1])
+        if last <= 0:
             raise WorkloadError("no requests completed")
+        p50, p99 = p50_p99(finish - arrival)
         registry = self.telemetry.registry
         # Registry parity with the DES path: the engine's end-of-run
         # gauges (one arrival event + one finish event per request, the
         # clock left at the last completion) plus the app-level stats.
         registry.gauge("sim.engine.events_processed").set(2 * requests)
-        registry.gauge("sim.engine.now_ns").set(finish)
+        registry.gauge("sim.engine.now_ns").set(last)
         registry.counter("apps.kvstore.requests").inc(requests)
-        registry.gauge("apps.kvstore.p99_sojourn_ns").set(sojourn.p99())
+        registry.gauge("apps.kvstore.p99_sojourn_ns").set(p99)
         registry.gauge("apps.kvstore.achieved_qps").set(
-            requests / (finish / 1e9))
+            requests / (last / 1e9))
         return RunResult(target_qps=target_qps,
-                         achieved_qps=requests / (finish / 1e9),
-                         p50_ns=sojourn.p50(),
-                         p99_ns=sojourn.p99(),
+                         achieved_qps=requests / (last / 1e9),
+                         p50_ns=p50,
+                         p99_ns=p99,
                          mean_service_ns=service_total / requests,
                          requests=requests)

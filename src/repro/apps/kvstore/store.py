@@ -22,6 +22,8 @@ max QPS ordering across interleave ratios (Fig 7).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ...cpu.system import System
@@ -43,11 +45,31 @@ EFFECTIVE_MISSES_MEAN = 20.0
 MISS_JITTER_SIGMA = 0.5
 """Log-normal sigma of the miss count — the tail that p99 sees."""
 
+WRITE_MISS_FACTOR = 1.15
+"""Extra dirty-line traffic of a mutation (the value is rewritten)."""
+
+CACHE_HIT_MISS_FACTOR = 0.1
+"""Miss-count multiplier when the record is LLC-hot (index + value
+mostly cached)."""
+
+MUTATIONS = (Operation.UPDATE, Operation.READ_MODIFY_WRITE, Operation.INSERT)
+"""The operations that pay :data:`WRITE_MISS_FACTOR` (a tuple: enum
+members match by identity, without hashing)."""
+
 RECORD_OVERHEAD_BYTES = 200
 """Redis object headers, SDS strings, dict entry per record."""
 
 LLC_USABLE_FRACTION = 0.5
 """Share of the LLC realistically holding hot records."""
+
+
+class QueryDraws(NamedTuple):
+    """Columns of drawn queries, in draw (request-index) order."""
+
+    ops: list[Operation]
+    keys: np.ndarray          # int64
+    cpu: np.ndarray           # CPU part, ns
+    misses: np.ndarray        # effective misses, factors applied
 
 
 class KvStore:
@@ -80,10 +102,6 @@ class KvStore:
             + system.backend_for_node(node.node_id).idle_read_ns()
             for node in system.topology.nodes}
         self._cache_hit_prob = self._estimate_cache_hit_prob()
-        # Per-key expected miss latency, built lazily on first use
-        # (None = unbuilt, False = record too large for the vectorized
-        # build, ndarray = the table).  See _build_miss_table.
-        self._miss_table: np.ndarray | None | bool = None
 
     def free(self) -> None:
         """Return the store's pages to the allocator (sweep hygiene)."""
@@ -138,32 +156,30 @@ class KvStore:
 
     # -- service times ---------------------------------------------------------
 
-    def _build_miss_table(self) -> np.ndarray | bool:
-        """Vectorize ``average_miss_latency_ns`` over the whole keyspace.
+    def _build_miss_table(self, keys: np.ndarray) -> np.ndarray:
+        """Vectorize ``average_miss_latency_ns`` over in-range ``keys``.
 
-        A record shorter than a page touches at most two pages, so each
-        key's node mix is (lines-on-first-page, lines-on-second-page)
-        split between two ``page_nodes`` entries — a handful of O(keys)
-        integer ops instead of an ``arange``/``nodes_of``/``unique``
-        round-trip per query.  The float expression replicates the
-        scalar path exactly: shares accumulate in ascending node-id
-        order with the same ``count/lines`` division and
-        ``share * ns`` product, and the single-node case collapses to
-        ``1.0 * ns`` just as the scalar sum does — so every table entry
-        is bit-identical to what the per-key computation returns.
+        Only for records no larger than a page: such a record touches
+        at most two pages, so each key's node mix is
+        (lines-on-first-page, lines-on-second-page) split between two
+        ``page_nodes`` entries — a handful of integer ops per key
+        instead of an ``arange``/``nodes_of``/``unique`` round-trip.
+        The float expression replicates the scalar path exactly:
+        shares accumulate in ascending node-id order with the same
+        ``count/lines`` division and ``share * ns`` product, and the
+        single-node case collapses to ``1.0 * ns`` just as the scalar
+        sum does — so every entry is bit-identical to what the per-key
+        computation returns.  (``perfbench/layers.py`` times this
+        method by name.)
         """
         page = self.allocation.page_bytes
         rb = self.record_bytes
-        if rb > page:
-            self._miss_table = False
-            return False
         nlines = rb // CACHELINE
         page_nodes = self.allocation.page_nodes
-        ns_arr = np.zeros(max(int(page_nodes.max()),
-                              max(self._node_read_ns)) + 1)
+        ns_arr = np.zeros(max(self._node_read_ns) + 1)
         for node, ns in self._node_read_ns.items():
             ns_arr[node] = ns
-        start = np.arange(self.capacity_keys, dtype=np.int64) * rb
+        start = keys * rb
         first_page = start // page
         last_page = (start + rb - CACHELINE) // page
         n1 = page_nodes[first_page].astype(np.int64)
@@ -179,19 +195,23 @@ class KvStore:
         ns_lo = ns_arr[np.minimum(n1, n2)]
         ns_hi = ns_arr[np.maximum(n1, n2)]
         split = (c_lo / nlines) * ns_lo + (c_hi / nlines) * ns_hi
-        table = np.where(n1 == n2, ns_arr[n1], split)
-        self._miss_table = table
-        return table
+        return np.where(n1 == n2, ns_arr[n1], split)
+
+    def miss_latency_of(self, keys) -> np.ndarray:
+        """:meth:`average_miss_latency_ns` of each of ``keys``, as a
+        float64 array, bit-identical to the scalar path."""
+        keys = np.asarray(keys, dtype=np.int64)
+        outside = (keys < 0) | (keys >= self.num_keys)
+        if outside.any():
+            raise WorkloadError(
+                f"key {int(keys[outside][0])} outside keyspace")
+        if self.record_bytes > self.allocation.page_bytes:
+            return np.array([self.average_miss_latency_ns(key)
+                             for key in keys.tolist()], dtype=np.float64)
+        return self._build_miss_table(keys)
 
     def average_miss_latency_ns(self, key: int) -> float:
         """Expected per-miss latency given the record's node mix."""
-        table = self._miss_table
-        if table is None:
-            table = self._build_miss_table()
-        if table is not False:
-            if not 0 <= key < self.num_keys:
-                raise WorkloadError(f"key {key} outside keyspace")
-            return float(table[key])
         mix = self.record_node_mix(key)
         return sum(share * self._node_read_ns[node]
                    for node, share in mix.items())
@@ -200,27 +220,60 @@ class KvStore:
                              ) -> tuple[float, float, float]:
         """One query's sampled ``(cpu_ns, misses, per_miss_ns)``.
 
-        The span layer records the parts separately;
-        :meth:`sample_service_ns` folds them into the scalar service
-        time.  Draw order is fixed (CPU jitter, miss jitter, cache
-        draw) so sampling parts or the scalar consumes the RNG stream
-        identically.
+        The scalar reference for :meth:`draw_queries`, which makes the
+        same draws in the same order (CPU jitter, miss jitter, cache
+        draw) and applies the same factors.
         """
         rng = self._rng
         cpu = CPU_BASE_NS * rng.lognormal(0.0, CPU_JITTER_SIGMA)
         misses = EFFECTIVE_MISSES_MEAN * rng.lognormal(0.0, MISS_JITTER_SIGMA)
-        if op in (Operation.UPDATE, Operation.READ_MODIFY_WRITE,
-                  Operation.INSERT):
-            # Mutations rewrite the value: extra dirty-line traffic.
-            misses *= 1.15
+        if op in MUTATIONS:
+            misses *= WRITE_MISS_FACTOR
         if rng.random() < self._cache_hit_prob:
-            misses *= 0.1        # hot record: index + value mostly cached
+            misses *= CACHE_HIT_MISS_FACTOR
         return cpu, misses, self.average_miss_latency_ns(key)
 
     def sample_service_ns(self, op: Operation, key: int) -> float:
         """One query's service time (CPU + memory), sampled."""
         cpu, misses, miss_ns = self.sample_service_parts(op, key)
         return cpu + misses * miss_ns
+
+    def draw_queries(self, rng: np.random.Generator, count: int, *,
+                     inserts: bool) -> QueryDraws:
+        """Draw ``count`` queries, then compute their columns.
+
+        Per query, in index order: the operation and then the key from
+        ``rng`` (with ``inserts`` set, an INSERT appends a record, which
+        becomes one of the "latest" keys later reads favor),
+        then CPU jitter, miss jitter and the cache draw from the
+        store's own stream — exactly the calls
+        :meth:`sample_service_parts` makes.  When ``rng`` is not the
+        store's stream the two are independent generators, so
+        separating the draws from the arithmetic changes no value;
+        the factors are applied to ``misses`` column-wise in the
+        scalar path's order, the same IEEE operations.
+        """
+        next_operation = self.workload.next_operation
+        next_key = self.chooser.next_key
+        insert_record = self.insert_record
+        lognormal = self._rng.lognormal
+        uniform = self._rng.random
+        insert = Operation.INSERT if inserts else None
+        ops, keys, cpu_jitter, miss_jitter, cache_u = [], [], [], [], []
+        for _ in range(count):
+            op = next_operation(rng)
+            ops.append(op)
+            keys.append(insert_record() if op is insert else next_key(rng))
+            cpu_jitter.append(lognormal(0.0, CPU_JITTER_SIGMA))
+            miss_jitter.append(lognormal(0.0, MISS_JITTER_SIGMA))
+            cache_u.append(uniform())
+        cpu = CPU_BASE_NS * np.array(cpu_jitter)
+        misses = EFFECTIVE_MISSES_MEAN * np.array(miss_jitter)
+        writes = np.array([op in MUTATIONS for op in ops], dtype=bool)
+        misses = np.where(writes, misses * WRITE_MISS_FACTOR, misses)
+        misses = np.where(np.array(cache_u) < self._cache_hit_prob,
+                          misses * CACHE_HIT_MISS_FACTOR, misses)
+        return QueryDraws(ops, np.array(keys, dtype=np.int64), cpu, misses)
 
     def miss_node_split(self, key: int) -> tuple[float, float]:
         """``(dram_share_ns, cxl_share_ns)`` of the per-miss latency.
@@ -245,11 +298,11 @@ class KvStore:
         """Monte-Carlo mean service time under the workload."""
         if samples <= 0:
             raise WorkloadError("samples must be positive")
+        draws = self.draw_queries(self._rng, samples, inserts=False)
+        service = draws.cpu + draws.misses * self.miss_latency_of(draws.keys)
         total = 0.0
-        for _ in range(samples):
-            op = self.workload.next_operation(self._rng)
-            key = self.chooser.next_key(self._rng)
-            total += self.sample_service_ns(op, key)
+        for value in service.tolist():
+            total += value               # sequential, never np.sum
         return total / samples
 
 

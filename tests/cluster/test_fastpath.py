@@ -14,7 +14,7 @@ import pytest
 from repro.cluster import ClusterSim, ClusterTopology, LinkDown
 from repro.cluster.resilience import ResiliencePolicy
 from repro.cluster.routing import HashShardRouter
-from repro.cluster.sim import grant_order, lindley
+from repro.sim.lindley import grant_order, lindley
 from repro.cluster.traffic import OpenLoopZipfian
 from repro.config import hetero_pooled_testbed
 from repro.errors import ClusterError
