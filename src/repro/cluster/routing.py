@@ -42,6 +42,14 @@ class Router:
 
     def route(self, key: int, owner: int,
               hosts: list[HostView]) -> int:
+        """The index of the host that serves ``key`` (owned by
+        ``owner``).
+
+        ``hosts`` is a snapshot, one view per host in index order, that
+        the caller may reuse: it refreshes the same views in place
+        before the next call.  A router must not keep the list or its
+        views, nor change them, after it returns.
+        """
         raise NotImplementedError
 
     @staticmethod

@@ -30,7 +30,7 @@ Two fault layers compose:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Collection, Mapping
 
 import numpy as np
 
@@ -143,6 +143,57 @@ class ClusterResult:
         if self.requests == 0:
             return 0.0
         return self.achieved_qps * (self.successes / self.requests)
+
+
+class _Request:
+    """One policied request: settles exactly once, whatever its attempts."""
+
+    __slots__ = ("index", "arrival", "key", "is_write", "owner",
+                 "resident", "settled", "won", "outstanding", "tried",
+                 "chain", "pending_retry")
+
+    def __init__(self, index: int, arrival: float, key: int,
+                 is_write: bool, owner: int, resident: bool) -> None:
+        self.index = index
+        self.arrival = arrival
+        self.key = key
+        self.is_write = is_write
+        self.owner = owner
+        self.resident = resident
+        self.settled = False
+        self.won = False           # settled by a successful attempt
+        self.outstanding = 0       # attempts neither finished nor abandoned
+        self.tried: set[int] = set()
+        self.chain = 0             # retries issued so far
+        self.pending_retry = False
+
+
+class _Attempt:
+    """One attempt of a :class:`_Request` at one host."""
+
+    __slots__ = ("req", "target", "reroute", "attempt", "prefix", "issue",
+                 "hedge", "done", "abandoned", "timer", "service",
+                 "fault_parts", "pending", "injector", "grant")
+
+    def __init__(self, req: _Request, target: int, reroute: bool,
+                 attempt: int, prefix: tuple, issue: float,
+                 hedge: bool) -> None:
+        self.req = req
+        self.target = target
+        self.reroute = reroute
+        self.attempt = attempt
+        self.prefix = prefix       # span segments before this attempt
+        self.issue = issue
+        self.hedge = hedge
+        self.done = False          # granted and finished, or cancelled
+        self.abandoned = False     # its deadline expired first
+        self.timer = None          # the pending deadline event
+        # Set when the attempt is granted a slot.
+        self.service = 0.0
+        self.fault_parts: tuple = ()
+        self.pending = 0           # fault recoveries owed at finish
+        self.injector: FaultInjector | None = None
+        self.grant = 0.0
 
 
 class ClusterSim:
@@ -605,6 +656,11 @@ class ClusterSim:
         granted (wasted work); only a *successful* settle actively
         cancels still-queued sibling attempts (first-wins hedging),
         because success is the one outcome the client can signal.
+
+        A request is one :class:`_Request` record and an attempt one
+        :class:`_Attempt`; the handlers below are built once per run
+        and take the record as their event argument, so an attempt
+        allocates no closures (docs/PERFORMANCE.md).
         """
         policy = self.policy
         assert policy is not None
@@ -614,6 +670,7 @@ class ClusterSim:
             theta=theta, write_fraction=write_fraction, seed=self.seed)
         residency = self._residency(traffic)
         engine = Engine(telemetry=self.telemetry)
+        route = self.router.route
         tracer = self.telemetry.tracer
         traced = tracer.enabled
         spans = self.telemetry.spans
@@ -635,22 +692,35 @@ class ClusterSim:
             pool_parts_by_host = [topo.pool_components(host)
                                   for host in range(topo.num_hosts)]
 
+        # Per-request columns.  The service inputs are the DES float
+        # operations done column-wise, in the order _run_lindley uses.
         n = requests
-        cpu_jitter = substream("cluster/cpu", self.seed).lognormal(
-            0.0, CPU_JITTER_SIGMA, size=n)
-        miss_jitter = substream("cluster/miss", self.seed).lognormal(
-            0.0, MISS_JITTER_SIGMA, size=n)
+        arrivals = traffic.arrival_ns.tolist()
+        keys = traffic.keys.tolist()
+        writes = traffic.writes.tolist()
+        cpu_col = (CPU_BASE_NS * substream("cluster/cpu", self.seed)
+                   .lognormal(0.0, CPU_JITTER_SIGMA, size=n)).tolist()
+        misses = EFFECTIVE_MISSES_MEAN * substream(
+            "cluster/miss", self.seed).lognormal(
+                0.0, MISS_JITTER_SIGMA, size=n)
+        misses = np.where(traffic.writes, misses * WRITE_MISS_FACTOR,
+                          misses)
         cache_u = substream("cluster/cache", self.seed).random(n)
+        misses_col = np.where(cache_u < hit_prob,
+                              misses * CACHE_HIT_MISS_FACTOR,
+                              misses).tolist()
+        per_host = topo.keys_per_host
 
         link_up = [True] * topo.num_hosts
         link_injected = [0] * topo.num_hosts
         link_recovered = [0] * topo.num_hosts
         absorbed = [0] * topo.num_hosts
         served = [0] * topo.num_hosts
-        rerouted = [0]
-        completed = [0]
-        service_total = [0.0]
-        last_completion = [0.0]
+        rerouted = 0
+        completed = 0
+        service_total = 0.0
+        last_completion = 0.0
+        wasted = 0.0
 
         budget = RetryBudget(policy.retry_budget)
         breaker: CircuitBreaker | None = None
@@ -671,265 +741,261 @@ class ClusterSim:
         counts = {"ok": 0, "ok_retried": 0, "ok_hedged": 0,
                   "deadline_exceeded": 0, "rejected": 0,
                   "hedges": 0, "hedge_wins": 0}
-        wasted = [0.0]
 
-        def routable(exclude: frozenset) -> list[HostView]:
-            views = [HostView(i, up=link_up[i],
-                              in_flight=servers[i].busy
-                              + servers[i].queue_depth)
-                     for i in range(topo.num_hosts)]
+        # One routing view per host, refreshed in place before each
+        # route (routers must not keep them; see Router.route).
+        views = [HostView(i) for i in range(topo.num_hosts)]
+
+        def routable(exclude: Collection[int]) -> list[HostView]:
+            for view, server, up in zip(views, servers, link_up):
+                view.up = up
+                view.in_flight = server.busy + server.queue_depth
+            filtered = views
             if breaker is not None:
-                views = breaker.filter_views(views, engine.now)
+                filtered = breaker.filter_views(views, engine.now)
             if exclude:
                 masked = [HostView(view.index,
                                    up=view.up
                                    and view.index not in exclude,
                                    in_flight=view.in_flight)
-                          for view in views]
+                          for view in filtered]
                 # Prefer an untried host, but a retry with nowhere new
                 # to go re-queues at a tried one rather than failing.
                 if any(view.up for view in masked):
                     return masked
-            return views
+            return filtered
 
-        def settle_failure(state: dict, index: int, arrival: float,
-                           outcome: str, segments: list,
-                           is_write: bool) -> None:
-            if state["settled"]:
+        def settle_failure(req: _Request, outcome: str,
+                           segments: list) -> None:
+            nonlocal completed, last_completion
+            if req.settled:
                 return           # a racing hedge won during the window
-            state["settled"] = True
+            req.settled = True
             counts[outcome] += 1
-            completed[0] += 1
-            last_completion[0] = engine.now
+            completed += 1
+            last_completion = engine.now
             if outcome == "deadline_exceeded":
                 # The client *waited* this long for nothing: failures
                 # belong in the sojourn tail.  Rejections don't — the
                 # balancer turned them around in SHED_REJECT_NS.
-                cluster_sojourn.record(engine.now - arrival)
+                cluster_sojourn.record(engine.now - req.arrival)
             if spanned:
-                spans.record(index, arrival, segments,
-                             kind="put" if is_write else "get")
+                spans.record(req.index, req.arrival, segments,
+                             kind="put" if req.is_write else "get")
 
-        def launch(state: dict, index: int, arrival: float, key: int,
-                   is_write: bool, owner: int, resident: bool,
-                   attempt: int, prefix: tuple, issue: float,
-                   hedge: bool, exclude: frozenset) -> None:
-            if resident:
-                target = self.router.route(key, owner,
-                                           routable(exclude))
+        def launch(req: _Request, attempt: int, prefix: tuple,
+                   issue: float, hedge: bool,
+                   exclude: Collection[int]) -> None:
+            owner = req.owner
+            if req.resident:
+                target = route(req.key, owner, routable(exclude))
                 reroute = not link_up[owner]
             else:
                 target = owner       # local DRAM keys never move
                 reroute = False
 
-            if policy.shedding and servers[target].busy \
-                    + servers[target].queue_depth \
+            server = servers[target]
+            if policy.shedding and server.busy + server.queue_depth \
                     >= policy.shed_inflight:
                 if hedge:
                     return           # the primary attempt carries on
                 segments = list(prefix)
                 segments.append((SHED_REJECT, SHED_REJECT_NS))
-                engine.schedule(SHED_REJECT_NS, settle_failure, state,
-                                index, arrival, "rejected", segments,
-                                is_write)
+                engine.schedule(SHED_REJECT_NS, settle_failure, req,
+                                "rejected", segments)
                 return
             if attempt == 0 and not hedge:
                 budget.note_admitted()
-            state["outstanding"] += 1
-            state["tried"].add(target)
+            req.outstanding += 1
+            req.tried.add(target)
             if hedge:
                 counts["hedges"] += 1
-            done = [False]
-            abandoned = [False]
-            timer = None
-
-            def on_deadline() -> None:
-                if state["settled"] or done[0]:
-                    return
-                abandoned[0] = True
-                state["outstanding"] -= 1
-                if not hedge and state["chain"] < policy.retries \
-                        and budget.allow():
-                    state["chain"] += 1
-                    chain = state["chain"]
-                    # Exponential backoff with full deterministic
-                    # jitter in [0.5, 1.5) of the doubled base.
-                    backoff = policy.backoff_base_ns \
-                        * (2.0 ** (chain - 1)) \
-                        * (0.5 + decision_uniform(
-                            self.seed, "resil-backoff", index, chain))
-                    new_prefix = prefix + ((DEADLINE_WAIT, deadline),
-                                           (RETRY_BACKOFF, backoff))
-                    state["pending_retry"] = True
-
-                    def relaunch() -> None:
-                        state["pending_retry"] = False
-                        if state["settled"]:
-                            return
-                        launch(state, index, arrival, key, is_write,
-                               owner, resident, chain, new_prefix,
-                               engine.now, False,
-                               frozenset(state["tried"]))
-
-                    engine.schedule(backoff, relaunch)
-                    return
-                if state["outstanding"] == 0 \
-                        and not state["pending_retry"]:
-                    segments = list(prefix)
-                    segments.append((DEADLINE_WAIT, deadline))
-                    settle_failure(state, index, arrival,
-                                   "deadline_exceeded", segments,
-                                   is_write)
-
+            att = _Attempt(req, target, reroute, attempt, prefix, issue,
+                           hedge)
             if deadline > 0.0:
-                timer = engine.schedule_at(issue + deadline,
-                                           on_deadline)
-
-            def start() -> None:
-                if state["won"]:
-                    # First-wins cancel: the client already has its
-                    # answer, so this still-queued attempt vacates the
-                    # slot with zero service.  The release is scheduled
-                    # rather than called so a long chain of cancelled
-                    # waiters cannot recurse through the grant path.
-                    done[0] = True
-                    if timer is not None:
-                        engine.cancel(timer)
-                    if not abandoned[0]:
-                        state["outstanding"] -= 1
-                    engine.schedule(0.0, servers[target].release)
-                    return
-                cpu = CPU_BASE_NS * float(cpu_jitter[index])
-                misses = EFFECTIVE_MISSES_MEAN * float(miss_jitter[index])
-                if is_write:
-                    misses *= WRITE_MISS_FACTOR
-                if float(cache_u[index]) < hit_prob:
-                    misses *= CACHE_HIT_MISS_FACTOR
-                miss_ns = pool_ns_by_host[owner] if resident \
-                    else dram_ns
-                extra = REROUTE_HOP_NS if reroute else 0.0
-                fault_parts: tuple = ()
-                pending_recoveries = 0
-                injector = injectors.get(target) if resident else None
-                if injector is not None:
-                    # Every attempt draws its own faults: a retry hits
-                    # fresh device weather, not a replay of the first
-                    # attempt's.  Attempt 0 keeps the base-path key so
-                    # fault accounting stays comparable across modes.
-                    if hedge:
-                        fault_key = (index, "h", attempt)
-                    elif attempt:
-                        fault_key = (index, "a", attempt)
-                    else:
-                        fault_key = (index,)
-                    fault_parts, pending_recoveries = \
-                        injector.request_extras(
-                            *fault_key, reread_ns=misses * miss_ns)
-                    for _, part_ns in fault_parts:
-                        extra += part_ns
-                service = cpu + misses * miss_ns + extra
-                service_total[0] += service
-                grant = engine.now
-
-                def finish() -> None:
-                    servers[target].release()
-                    done[0] = True
-                    if timer is not None:
-                        engine.cancel(timer)
-                    for _ in range(pending_recoveries):
-                        injector.recovery()
-                    if reroute:
-                        # All reroute accounting lands at termination
-                        # so abandoned attempts still balance
-                        # injected == recovered.
-                        link_injected[owner] += 1
-                        link_recovered[owner] += 1
-                        rerouted[0] += 1
-                        absorbed[target] += 1
-                    if breaker is not None:
-                        breaker.observe(target, engine.now - issue,
-                                        engine.now)
-                    if state["settled"] or abandoned[0]:
-                        # A losing attempt: the server did the work,
-                        # nobody was listening.
-                        wasted[0] += service
-                        if not abandoned[0]:
-                            state["outstanding"] -= 1
-                        return
-                    state["settled"] = True
-                    state["won"] = True
-                    state["outstanding"] -= 1
-                    sojourn = engine.now - arrival
-                    cluster_sojourn.record(sojourn)
-                    host_sojourn[target].record(sojourn)
-                    served[target] += 1
-                    completed[0] += 1
-                    last_completion[0] = engine.now
-                    if hedge:
-                        counts["ok_hedged"] += 1
-                        counts["hedge_wins"] += 1
-                    elif attempt:
-                        counts["ok_retried"] += 1
-                    else:
-                        counts["ok"] += 1
-                    if traced:
-                        tracer.complete(
-                            f"{CLUSTER_TRACK}.host{target}",
-                            "put" if is_write else "get",
-                            arrival, sojourn, request=index)
-                    if not spanned:
-                        return
-                    segments = list(prefix)
-                    segments.append(("client.wait", grant - issue))
-                    if reroute:
-                        segments.append(("route.reroute",
-                                         REROUTE_HOP_NS))
-                    segments.append(("shard.cpu", cpu))
-                    mem_total = misses * miss_ns
-                    parts = pool_parts_by_host[owner] if resident \
-                        else dram_parts
-                    accounted = 0.0
-                    last = len(parts) - 1
-                    for pos, (part, per_miss) in enumerate(parts):
-                        if pos == last:
-                            dur = mem_total - accounted
-                        else:
-                            dur = misses * per_miss
-                            accounted += dur
-                        segments.append((part, dur))
-                    segments.extend(fault_parts)
-                    spans.record(index, arrival, segments,
-                                 kind="put" if is_write else "get")
-
-                engine.schedule(service, finish)
-
-            servers[target].acquire(start)
-
+                att.timer = engine.schedule_at(issue + deadline,
+                                               on_deadline, att)
+            server.acquire(start, att)
             if not hedge and attempt == 0 and hedge_wait > 0.0 \
-                    and resident:
-                def maybe_hedge() -> None:
-                    if state["settled"] or done[0]:
-                        return
-                    views = routable(frozenset((target,)))
-                    if not any(view.up and view.index != target
-                               for view in views):
-                        return       # nowhere distinct to hedge to
-                    launch(state, index, arrival, key, is_write,
-                           owner, resident, 0,
-                           prefix + ((HEDGE_WAIT, hedge_wait),),
-                           engine.now, True, frozenset((target,)))
+                    and req.resident:
+                engine.schedule(hedge_wait, maybe_hedge, att)
 
-                engine.schedule(hedge_wait, maybe_hedge)
+        def on_deadline(att: _Attempt) -> None:
+            # The timer fired; dropping its handle, which holds ``att``
+            # as its event argument, leaves no reference cycle behind.
+            att.timer = None
+            req = att.req
+            if req.settled or att.done:
+                return
+            att.abandoned = True
+            req.outstanding -= 1
+            if not att.hedge and req.chain < policy.retries \
+                    and budget.allow():
+                req.chain += 1
+                chain = req.chain
+                # Exponential backoff with full deterministic jitter in
+                # [0.5, 1.5) of the doubled base.
+                backoff = policy.backoff_base_ns * (2.0 ** (chain - 1)) \
+                    * (0.5 + decision_uniform(
+                        self.seed, "resil-backoff", req.index, chain))
+                req.pending_retry = True
+                engine.schedule(backoff, relaunch, req, chain,
+                                att.prefix + ((DEADLINE_WAIT, deadline),
+                                              (RETRY_BACKOFF, backoff)))
+                return
+            if req.outstanding == 0 and not req.pending_retry:
+                segments = list(att.prefix)
+                segments.append((DEADLINE_WAIT, deadline))
+                settle_failure(req, "deadline_exceeded", segments)
 
-        def submit(index: int, arrival: float, key: int,
-                   is_write: bool) -> None:
-            owner = topo.shard_of(key)
-            resident = residency[key]
-            state = {"settled": False, "won": False, "outstanding": 0,
-                     "tried": set(), "chain": 0,
-                     "pending_retry": False}
-            launch(state, index, arrival, key, is_write, owner,
-                   resident, 0, (), arrival, False, frozenset())
+        def relaunch(req: _Request, chain: int, prefix: tuple) -> None:
+            req.pending_retry = False
+            if req.settled:
+                return
+            # The tried set is only read while routing, before this
+            # launch adds its own target.
+            launch(req, chain, prefix, engine.now, False, req.tried)
+
+        def maybe_hedge(att: _Attempt) -> None:
+            req = att.req
+            if req.settled or att.done:
+                return
+            target = att.target
+            exclude = (target,)
+            if not any(view.up and view.index != target
+                       for view in routable(exclude)):
+                return           # nowhere distinct to hedge to
+            launch(req, 0, att.prefix + ((HEDGE_WAIT, hedge_wait),),
+                   engine.now, True, exclude)
+
+        def start(att: _Attempt) -> None:
+            nonlocal service_total
+            req = att.req
+            if req.won:
+                # First-wins cancel: the client already has its answer,
+                # so this still-queued attempt vacates the slot with
+                # zero service.  The release is scheduled rather than
+                # called so a long chain of cancelled waiters cannot
+                # recurse through the grant path.
+                att.done = True
+                if att.timer is not None:
+                    engine.cancel(att.timer)
+                    att.timer = None
+                if not att.abandoned:
+                    req.outstanding -= 1
+                engine.schedule(0.0, servers[att.target].release)
+                return
+            index = req.index
+            misses = misses_col[index]
+            miss_ns = pool_ns_by_host[req.owner] if req.resident \
+                else dram_ns
+            extra = REROUTE_HOP_NS if att.reroute else 0.0
+            injector = injectors.get(att.target) if req.resident \
+                else None
+            if injector is not None:
+                # Every attempt draws its own faults: a retry hits
+                # fresh device weather, not a replay of the first
+                # attempt's.  Attempt 0 keeps the base-path key so
+                # fault accounting stays comparable across modes.
+                if att.hedge:
+                    fault_key = (index, "h", att.attempt)
+                elif att.attempt:
+                    fault_key = (index, "a", att.attempt)
+                else:
+                    fault_key = (index,)
+                att.fault_parts, att.pending = injector.request_extras(
+                    *fault_key, reread_ns=misses * miss_ns)
+                att.injector = injector
+                for _, part_ns in att.fault_parts:
+                    extra += part_ns
+            service = cpu_col[index] + misses * miss_ns + extra
+            service_total += service
+            att.service = service
+            att.grant = engine.now
+            engine.schedule(service, finish, att)
+
+        def finish(att: _Attempt) -> None:
+            nonlocal rerouted, completed, last_completion, wasted
+            target = att.target
+            servers[target].release()
+            att.done = True
+            if att.timer is not None:
+                engine.cancel(att.timer)
+                att.timer = None
+            for _ in range(att.pending):
+                att.injector.recovery()
+            req = att.req
+            if att.reroute:
+                # All reroute accounting lands at termination so
+                # abandoned attempts still balance injected == recovered.
+                link_injected[req.owner] += 1
+                link_recovered[req.owner] += 1
+                rerouted += 1
+                absorbed[target] += 1
+            if breaker is not None:
+                breaker.observe(target, engine.now - att.issue,
+                                engine.now)
+            if req.settled or att.abandoned:
+                # A losing attempt: the server did the work, nobody was
+                # listening.
+                wasted += att.service
+                if not att.abandoned:
+                    req.outstanding -= 1
+                return
+            req.settled = True
+            req.won = True
+            req.outstanding -= 1
+            sojourn = engine.now - req.arrival
+            cluster_sojourn.record(sojourn)
+            host_sojourn[target].record(sojourn)
+            served[target] += 1
+            completed += 1
+            last_completion = engine.now
+            if att.hedge:
+                counts["ok_hedged"] += 1
+                counts["hedge_wins"] += 1
+            elif att.attempt:
+                counts["ok_retried"] += 1
+            else:
+                counts["ok"] += 1
+            if traced:
+                tracer.complete(
+                    f"{CLUSTER_TRACK}.host{target}",
+                    "put" if req.is_write else "get",
+                    req.arrival, sojourn, request=req.index)
+            if not spanned:
+                return
+            index = req.index
+            misses = misses_col[index]
+            segments = list(att.prefix)
+            segments.append(("client.wait", att.grant - att.issue))
+            if att.reroute:
+                segments.append(("route.reroute", REROUTE_HOP_NS))
+            segments.append(("shard.cpu", cpu_col[index]))
+            if req.resident:
+                mem_total = misses * pool_ns_by_host[req.owner]
+                parts = pool_parts_by_host[req.owner]
+            else:
+                mem_total = misses * dram_ns
+                parts = dram_parts
+            accounted = 0.0
+            last = len(parts) - 1
+            for pos, (part, per_miss) in enumerate(parts):
+                if pos == last:
+                    dur = mem_total - accounted
+                else:
+                    dur = misses * per_miss
+                    accounted += dur
+                segments.append((part, dur))
+            segments.extend(att.fault_parts)
+            spans.record(index, req.arrival, segments,
+                         kind="put" if req.is_write else "get")
+
+        def submit(index: int) -> None:
+            key = keys[index]
+            launch(_Request(index, arrivals[index], key, writes[index],
+                            key // per_host, residency[key]),
+                   0, (), arrivals[index], False, ())
 
         if self.link_down is not None:
             down = self.link_down
@@ -940,14 +1006,13 @@ class ClusterSim:
             engine.schedule_at(down.at_fraction * traffic.duration_ns,
                                kill_link)
 
-        for req in traffic.requests():
-            engine.schedule_at(req.arrival_ns, submit, req.index,
-                               req.arrival_ns, req.key, req.is_write)
+        for index, arrival in enumerate(arrivals):
+            engine.schedule_at(arrival, submit, index)
         engine.run()
 
-        if completed[0] != requests:
+        if completed != requests:
             raise ClusterError(
-                f"only {completed[0]}/{requests} requests settled")
+                f"only {completed}/{requests} requests settled")
 
         hosts = self._host_results(
             injectors, served,
@@ -965,24 +1030,24 @@ class ClusterSim:
             hedges_launched=counts["hedges"],
             hedge_wins=counts["hedge_wins"],
             breaker_opens=breaker.opens if breaker is not None else 0,
-            wasted_ns=wasted[0])
+            wasted_ns=wasted)
 
-        achieved = completed[0] / (last_completion[0] / 1e9)
-        self._publish(completed[0], cluster_sojourn.p99()
+        achieved = completed / (last_completion / 1e9)
+        self._publish(completed, cluster_sojourn.p99()
                       if len(cluster_sojourn) else 0.0, achieved, hosts)
         self.telemetry.registry.gauge("cluster.goodput_qps").set(
-            achieved * (stats.successes / completed[0]))
+            achieved * (stats.successes / completed))
 
         return ClusterResult(
             qps=qps, theta=theta, pool_share=topo.pool_share,
-            requests=completed[0], achieved_qps=achieved,
+            requests=completed, achieved_qps=achieved,
             p50_ns=cluster_sojourn.p50()
             if len(cluster_sojourn) else 0.0,
             p99_ns=cluster_sojourn.p99()
             if len(cluster_sojourn) else 0.0,
-            mean_service_ns=service_total[0] / completed[0],
+            mean_service_ns=service_total / completed,
             pool_utilization=topo.pool_utilization(),
-            rerouted=rerouted[0],
+            rerouted=rerouted,
             link_down_host=self.link_down.host
             if self.link_down is not None else None,
             hosts=hosts, resilience=stats)

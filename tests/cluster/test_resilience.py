@@ -9,8 +9,11 @@ a policied :class:`ClusterSim` run keeps the outcome-bucket invariant
 shapes; this file pins the pieces.
 """
 
+import math
+
 import pytest
 
+from repro.cluster import sim as cluster_sim
 from repro.cluster import (
     CircuitBreaker,
     ClusterSim,
@@ -26,6 +29,9 @@ from repro.cluster import (
 from repro.cluster.resilience import ZERO_POLICY
 from repro.errors import ClusterError
 from repro.faults import FaultPlan
+from repro.sim import Engine
+from repro.telemetry import Telemetry
+from repro.telemetry.spans import SpanRecorder
 
 
 class TestPolicyValidation:
@@ -229,3 +235,67 @@ class TestSimIntegration:
         assert stats.hedges_launched > 0
         assert stats.hedge_wins == stats.ok_hedged
         assert stats.hedge_wins <= stats.hedges_launched
+
+
+class TestPoliciedSpanClosure:
+    """With spans on, every settled request's waterfall closes on its
+    end-to-end latency: deadline waits, retry backoffs, hedge waits and
+    shed rejects are all segments, so nothing the client waited through
+    goes unattributed.  The waterfall is summed in a different order
+    than the clock advanced, so the sums agree to float rounding."""
+
+    @pytest.fixture
+    def engines(self, monkeypatch):
+        """Every engine the run under test builds, to read its clock."""
+        built = []
+
+        class Watched(Engine):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cluster_sim, "Engine", Watched)
+        return built
+
+    def _waterfalls(self, engines, policy):
+        settled = []
+
+        class Closing(SpanRecorder):
+            def record(self, index, start_ns, segments, *,
+                       kind="request"):
+                settled.append((index, engines[-1].now - start_ns,
+                                list(segments)))
+                super().record(index, start_ns, segments, kind=kind)
+
+        plans = {1: FaultPlan(stall_rate=0.2, stall_ns=100_000.0, seed=9)}
+        sim = ClusterSim(ClusterTopology(4, keys_per_host=10_000),
+                         seed=17, policy=policy, fault_plans=plans,
+                         telemetry=Telemetry(spans=Closing()))
+        result = sim.run(qps=260_000.0, requests=1_500)
+        return result, settled
+
+    def _assert_closes(self, result, settled):
+        assert sorted(index for index, *_ in settled) \
+            == list(range(result.requests))
+        for index, end_to_end, segments in settled:
+            total = 0.0
+            for _, duration in segments:
+                total += duration
+            assert math.isclose(total, end_to_end, rel_tol=1e-12), \
+                (index, end_to_end, segments)
+
+    def test_hedged_waterfalls_close(self, engines):
+        result, settled = self._waterfalls(engines, PRESETS["hedged"])
+        assert result.resilience.hedge_wins > 0
+        assert any(name == "hedge.wait" for *_, segments in settled
+                   for name, _ in segments)
+        self._assert_closes(result, settled)
+
+    def test_unbudgeted_waterfalls_close(self, engines):
+        result, settled = self._waterfalls(engines,
+                                           PRESETS["unbudgeted"])
+        stats = result.resilience
+        assert stats.ok_retried > 0 and stats.deadline_exceeded > 0
+        assert any(name == "retry.backoff" for *_, segments in settled
+                   for name, _ in segments)
+        self._assert_closes(result, settled)
