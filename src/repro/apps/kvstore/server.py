@@ -77,7 +77,7 @@ class KvServer:
             # A capacity-1 FIFO station needs no event queue: the
             # Lindley recursion replays the DES float-for-float.
             return self._run_fast(target_qps, requests)
-        return self._run_des(target_qps, requests)
+        return self._run_events(target_qps, requests)
 
     def _draw(self, target_qps: float, requests: int
               ) -> tuple[np.ndarray, QueryDraws, np.ndarray, np.ndarray]:
@@ -97,8 +97,13 @@ class KvServer:
         mem = draws.misses * self.store.miss_latency_of(draws.keys)
         return gaps.cumsum(), draws, mem, draws.cpu + mem
 
-    def _run_des(self, target_qps: float, requests: int) -> RunResult:
-        """The event-driven run (tracing, spans, ``workers > 1``)."""
+    def _run_events(self, target_qps: float, requests: int) -> RunResult:
+        """The event-driven run (tracing, spans, ``workers > 1``).
+
+        ``submit``, ``start`` and ``finish`` are built once per run and
+        take the request index, its arrival and its grant instant as
+        event arguments, so a request allocates no closures.
+        """
         arrival_ns, draws, mem_ns, service_ns = \
             self._draw(target_qps, requests)
         ops, keys = draws.ops, draws.keys.tolist()
@@ -113,81 +118,65 @@ class KvServer:
                 else f"memcached-{self.workers}w")
         server = Server(self.workers, name=name)
         sojourn = LatencyRecorder("sojourn")
-        service_total = [0.0]
-        completed = [0]
-        last_completion = [0.0]
+        service_total = 0.0
+        completed = 0
+        last_completion = 0.0
 
-        def submit(index: int, arrival_time: float) -> None:
-            def start() -> None:
-                op = ops[index]
-                service = services[index]
-                service_total[0] += service
+        def submit(index: int, arrival: float) -> None:
+            server.acquire(start, index, arrival)
 
-                def finish() -> None:
-                    server.release()
-                    sojourn.record(engine.now - arrival_time)
-                    completed[0] += 1
-                    last_completion[0] = engine.now
-                    if traced:
-                        tracer.complete(KVSTORE_TRACK, op.value,
-                                        arrival_time,
-                                        engine.now - arrival_time,
-                                        request=index)
+        def start(index: int, arrival: float) -> None:
+            nonlocal service_total
+            service = services[index]
+            service_total += service
+            engine.schedule(service, finish, index, arrival, engine.now)
 
-                if not spanned:
-                    engine.schedule(service, finish)
-                    return
+        def finish(index: int, arrival: float, grant: float) -> None:
+            nonlocal completed, last_completion
+            server.release()
+            sojourn.record(engine.now - arrival)
+            completed += 1
+            last_completion = engine.now
+            if traced:
+                tracer.complete(KVSTORE_TRACK, ops[index].value, arrival,
+                                engine.now - arrival, request=index)
+            if spanned:
+                # The memory part splits by the kind of node backing
+                # the record's lines; the second entry is a residual
+                # so the pair closes exactly on misses * miss_ns.
+                mem_total = mems[index]
+                dram_share, cxl_share = \
+                    self.store.miss_node_split(keys[index])
+                segments = [("client.wait", grant - arrival),
+                            ("kv.cpu", cpus[index])]
+                if cxl_share == 0.0:
+                    segments.append(("mem.dram", mem_total))
+                elif dram_share == 0.0:
+                    segments.append(("mem.cxl", mem_total))
+                else:
+                    dram_part = misses[index] * dram_share
+                    segments.append(("mem.dram", dram_part))
+                    segments.append(("mem.cxl", mem_total - dram_part))
+                spans.record(index, arrival, segments,
+                             kind=ops[index].value)
 
-                # Spanned path only: the default binds the grant
-                # instant, so the spans-off closure above keeps its
-                # exact shape (no extra cells on the hot path).
-                def finish_spanned(grant=engine.now) -> None:
-                    finish()
-                    # The memory part splits by the kind of node
-                    # backing the record's lines; the second entry
-                    # is a residual so the pair closes exactly on
-                    # misses * miss_ns.
-                    mem_total = mems[index]
-                    dram_share, cxl_share = \
-                        self.store.miss_node_split(keys[index])
-                    segments = [
-                        ("client.wait", grant - arrival_time),
-                        ("kv.cpu", cpus[index])]
-                    if cxl_share == 0.0:
-                        segments.append(("mem.dram", mem_total))
-                    elif dram_share == 0.0:
-                        segments.append(("mem.cxl", mem_total))
-                    else:
-                        dram_part = misses[index] * dram_share
-                        segments.append(("mem.dram", dram_part))
-                        segments.append(
-                            ("mem.cxl", mem_total - dram_part))
-                    spans.record(index, arrival_time, segments,
-                                 kind=op.value)
-
-                engine.schedule(service, finish_spanned)
-
-            server.acquire(start)
-
-        for index, arrival_time in enumerate(arrival_ns.tolist()):
-            engine.schedule_at(arrival_time,
-                               lambda i=index, t=arrival_time: submit(i, t))
+        for index, arrival in enumerate(arrival_ns.tolist()):
+            engine.schedule_at(arrival, submit, index, arrival)
         engine.run()
 
-        elapsed = last_completion[0]
-        if elapsed <= 0:
+        if last_completion <= 0:
             raise WorkloadError("no requests completed")
+        achieved = completed / (last_completion / 1e9)
         registry = self.telemetry.registry
-        registry.counter("apps.kvstore.requests").inc(completed[0])
+        registry.counter("apps.kvstore.requests").inc(completed)
         registry.gauge("apps.kvstore.p99_sojourn_ns").set(sojourn.p99())
-        registry.gauge("apps.kvstore.achieved_qps").set(
-            completed[0] / (elapsed / 1e9))
+        registry.gauge("apps.kvstore.achieved_qps").set(achieved)
         return RunResult(target_qps=target_qps,
-                         achieved_qps=completed[0] / (elapsed / 1e9),
+                         achieved_qps=achieved,
                          p50_ns=sojourn.p50(),
                          p99_ns=sojourn.p99(),
-                         mean_service_ns=service_total[0] / completed[0],
-                         requests=completed[0])
+                         mean_service_ns=service_total / completed,
+                         requests=completed)
 
     def _run_fast(self, target_qps: float, requests: int) -> RunResult:
         """The ``workers == 1`` analytic fast path (no event queue).
@@ -199,7 +188,7 @@ class KvServer:
         same adds/compares the event loop performs.  ``service_total``
         sums sequentially in that order, and p50/p99 are what the
         DES's :class:`~repro.sim.LatencyRecorder` reports.  The result
-        is byte-identical to :meth:`_run_des`
+        is byte-identical to :meth:`_run_events`
         (``tests/apps/test_kv_fastpath.py`` pins the equivalence).
         """
         arrival, _, _, service = self._draw(target_qps, requests)

@@ -45,9 +45,9 @@ from ..sim.lindley import lindley, p50_p99
 from ..sim.rng import decision_uniform, substream
 from ..telemetry import NULL_TELEMETRY, Telemetry
 from .resilience import (DEADLINE_WAIT, HEDGE_WAIT, RETRY_BACKOFF,
-                         SHED_REJECT, SHED_REJECT_NS, CircuitBreaker,
-                         ResiliencePolicy, ResilienceStats, RetryBudget,
-                         hedge_delay_ns, parse_policy)
+                         SHED_REJECT, SHED_REJECT_NS, ZERO_POLICY,
+                         CircuitBreaker, ResiliencePolicy, ResilienceStats,
+                         RetryBudget, hedge_delay_ns, parse_policy)
 from .routing import HashShardRouter, HostView, Router, make_router
 from .topology import ClusterTopology
 from .traffic import OpenLoopZipfian
@@ -212,8 +212,9 @@ class ClusterSim:
         if isinstance(policy, str):
             policy = parse_policy(policy)
         if policy is not None and not policy.active:
-            # The all-zero policy changes nothing; normalizing it to
-            # None keeps the policy-free fast path byte-identical.
+            # The all-zero policy changes nothing; as None it takes the
+            # Lindley gate and reports no resilience stats, exactly like
+            # a policy-free run.
             policy = None
         self.policy = policy
         self.fault_plans = dict(fault_plans) if fault_plans else {}
@@ -321,11 +322,8 @@ class ClusterSim:
     def run(self, qps: float, *, theta: float = 0.99,
             requests: int = 8_000,
             write_fraction: float = 0.05) -> ClusterResult:
-        if self.policy is not None:
-            return self._run_resilient(qps, theta=theta,
-                                       requests=requests,
-                                       write_fraction=write_fraction)
-        if (type(self.router) is HashShardRouter
+        if (self.policy is None
+                and type(self.router) is HashShardRouter
                 and all(host.spec.workers == 1
                         for host in self.topology.hosts)
                 and not self.telemetry.tracer.enabled
@@ -335,8 +333,8 @@ class ClusterSim:
             # float for float (docs/PERFORMANCE.md).
             return self._run_lindley(qps, theta=theta, requests=requests,
                                      write_fraction=write_fraction)
-        return self._run_des(qps, theta=theta, requests=requests,
-                             write_fraction=write_fraction)
+        return self._run_events(qps, theta=theta, requests=requests,
+                                write_fraction=write_fraction)
 
     def _run_lindley(self, qps: float, *, theta: float, requests: int,
                      write_fraction: float) -> ClusterResult:
@@ -344,7 +342,7 @@ class ClusterSim:
 
         Exact for hash-shard routing, one worker per host, tracing and
         spans off (the :meth:`run` gate); ``tests/cluster/
-        test_fastpath.py`` pins it equal to :meth:`_run_des`:
+        test_fastpath.py`` pins it equal to :meth:`_run_events`:
 
         * hash-shard routing reads only link state.  The link-down
           event is scheduled before every arrival, so request ``i``
@@ -445,206 +443,11 @@ class ClusterSim:
             link_down_host=down.host if down is not None else None,
             hosts=hosts)
 
-    def _run_des(self, qps: float, *, theta: float, requests: int,
-                 write_fraction: float) -> ClusterResult:
-        """The policy-free request lifecycle on the event engine."""
-        topo = self.topology
-        traffic = OpenLoopZipfian(
-            qps=qps, num_requests=requests, keyspace=topo.total_keys,
-            theta=theta, write_fraction=write_fraction, seed=self.seed)
-        residency = self._residency(traffic)
-        engine = Engine(telemetry=self.telemetry)
-        tracer = self.telemetry.tracer
-        traced = tracer.enabled
-        spans = self.telemetry.spans
-        spanned = spans.enabled
+    # -- the event-driven run ----------------------------------------------
 
-        servers = [Server(host.spec.workers, name=host.name)
-                   for host in topo.hosts]
-        host_sojourn = [LatencyRecorder(f"{host.name}-sojourn")
-                        for host in topo.hosts]
-        cluster_sojourn = LatencyRecorder("cluster-sojourn")
-        injectors = self._injectors()
-
-        dram_ns = topo.dram_read_ns()
-        # Per-owner pool path: with one CXL device every entry is the
-        # same number (the classic shared path); a heterogeneous pool
-        # gives each shard the latency of the device holding its slice.
-        pool_ns_by_host = [topo.pool_read_ns(host)
-                           for host in range(topo.num_hosts)]
-        hit_prob = topo.cache_hit_prob(theta)
-
-        # Per-miss span decomposition of the two read paths; only built
-        # (and only consulted) when span recording is on.
-        if spanned:
-            dram_parts = topo.dram_components()
-            pool_parts_by_host = [topo.pool_components(host)
-                                  for host in range(topo.num_hosts)]
-
-        # Per-request randomness, pre-drawn and indexed by request so
-        # no simulation path can perturb another request's draws.
-        n = requests
-        cpu_jitter = substream("cluster/cpu", self.seed).lognormal(
-            0.0, CPU_JITTER_SIGMA, size=n)
-        miss_jitter = substream("cluster/miss", self.seed).lognormal(
-            0.0, MISS_JITTER_SIGMA, size=n)
-        cache_u = substream("cluster/cache", self.seed).random(n)
-
-        link_up = [True] * topo.num_hosts
-        link_injected = [0] * topo.num_hosts
-        link_recovered = [0] * topo.num_hosts
-        absorbed = [0] * topo.num_hosts
-        served = [0] * topo.num_hosts
-        rerouted = [0]
-        completed = [0]
-        service_total = [0.0]
-        last_completion = [0.0]
-
-        def submit(index: int, arrival: float, key: int,
-                   is_write: bool) -> None:
-            owner = topo.shard_of(key)
-            resident = residency[key]
-            penalty = 0.0
-            rerouted_from: int | None = None
-            if resident:
-                views = [HostView(i, up=link_up[i],
-                                  in_flight=servers[i].busy
-                                  + servers[i].queue_depth)
-                         for i in range(topo.num_hosts)]
-                target = self.router.route(key, owner, views)
-                if not link_up[owner]:
-                    # The owner's link is down; reaching the shared
-                    # pool slice from a survivor costs one redirect.
-                    link_injected[owner] += 1
-                    rerouted[0] += 1
-                    rerouted_from = owner
-                    penalty = REROUTE_HOP_NS
-            else:
-                target = owner       # local DRAM keys never move
-
-            def start() -> None:
-                cpu = CPU_BASE_NS * float(cpu_jitter[index])
-                misses = EFFECTIVE_MISSES_MEAN * float(miss_jitter[index])
-                if is_write:
-                    misses *= WRITE_MISS_FACTOR
-                if float(cache_u[index]) < hit_prob:
-                    misses *= CACHE_HIT_MISS_FACTOR
-                miss_ns = pool_ns_by_host[owner] if resident \
-                    else dram_ns
-                extra = penalty
-                fault_parts: tuple = ()
-                pending_recoveries = 0
-                injector = injectors.get(target) if resident else None
-                if injector is not None:
-                    fault_parts, pending_recoveries = \
-                        injector.request_extras(index,
-                                                reread_ns=misses * miss_ns)
-                    for _, part_ns in fault_parts:
-                        extra += part_ns
-                service = cpu + misses * miss_ns + extra
-                service_total[0] += service
-
-                def finish() -> None:
-                    servers[target].release()
-                    sojourn = engine.now - arrival
-                    cluster_sojourn.record(sojourn)
-                    host_sojourn[target].record(sojourn)
-                    served[target] += 1
-                    completed[0] += 1
-                    last_completion[0] = engine.now
-                    for _ in range(pending_recoveries):
-                        injector.recovery()
-                    if rerouted_from is not None:
-                        link_recovered[rerouted_from] += 1
-                        absorbed[target] += 1
-                    if traced:
-                        tracer.complete(
-                            f"{CLUSTER_TRACK}.host{target}",
-                            "put" if is_write else "get",
-                            arrival, sojourn, request=index)
-
-                if not spanned:
-                    engine.schedule(service, finish)
-                    return
-
-                # Spanned path only: the segment builder binds start()'s
-                # locals as defaults so the spans-off closure above keeps
-                # its exact shape (no extra cells on the hot path).
-                def finish_spanned(cpu=cpu, misses=misses,
-                                   mem_total=misses * miss_ns,
-                                   grant=engine.now,
-                                   parts=pool_parts_by_host[owner]
-                                   if resident else dram_parts,
-                                   fault_parts=fault_parts) -> None:
-                    finish()
-                    # Ordered waterfall; the memory components use a
-                    # residual on the last entry so their sum closes
-                    # exactly on misses * miss_ns.
-                    segments = [("client.wait", grant - arrival)]
-                    if rerouted_from is not None:
-                        segments.append(("route.reroute", penalty))
-                    segments.append(("shard.cpu", cpu))
-                    accounted = 0.0
-                    last = len(parts) - 1
-                    for pos, (part, per_miss) in enumerate(parts):
-                        if pos == last:
-                            dur = mem_total - accounted
-                        else:
-                            dur = misses * per_miss
-                            accounted += dur
-                        segments.append((part, dur))
-                    segments.extend(fault_parts)
-                    spans.record(index, arrival, segments,
-                                 kind="put" if is_write else "get")
-
-                engine.schedule(service, finish_spanned)
-
-            servers[target].acquire(start)
-
-        if self.link_down is not None:
-            down = self.link_down
-
-            def kill_link() -> None:
-                link_up[down.host] = False
-
-            engine.schedule_at(down.at_fraction * traffic.duration_ns,
-                               kill_link)
-
-        for req in traffic.requests():
-            engine.schedule_at(req.arrival_ns, submit, req.index,
-                               req.arrival_ns, req.key, req.is_write)
-        engine.run()
-
-        if completed[0] != requests:
-            raise ClusterError(
-                f"only {completed[0]}/{requests} requests completed")
-
-        hosts = self._host_results(
-            injectors, served,
-            [(recorder.p50(), recorder.p99()) if len(recorder)
-             else (0.0, 0.0) for recorder in host_sojourn],
-            link_injected, link_recovered, absorbed)
-
-        achieved = completed[0] / (last_completion[0] / 1e9)
-        self._publish(completed[0], cluster_sojourn.p99(), achieved, hosts)
-
-        return ClusterResult(
-            qps=qps, theta=theta, pool_share=topo.pool_share,
-            requests=completed[0], achieved_qps=achieved,
-            p50_ns=cluster_sojourn.p50(), p99_ns=cluster_sojourn.p99(),
-            mean_service_ns=service_total[0] / completed[0],
-            pool_utilization=topo.pool_utilization(),
-            rerouted=rerouted[0],
-            link_down_host=self.link_down.host
-            if self.link_down is not None else None,
-            hosts=hosts)
-
-    # -- the resilient run -------------------------------------------------
-
-    def _run_resilient(self, qps: float, *, theta: float,
-                       requests: int,
-                       write_fraction: float) -> ClusterResult:
-        """The policied request lifecycle (docs/CLUSTER.md).
+    def _run_events(self, qps: float, *, theta: float, requests: int,
+                    write_fraction: float) -> ClusterResult:
+        """The request lifecycle on the event engine (docs/CLUSTER.md).
 
         Each *request* settles exactly once — into one of the outcome
         buckets of :class:`~repro.cluster.resilience.ResilienceStats` —
@@ -661,9 +464,13 @@ class ClusterSim:
         :class:`_Attempt`; the handlers below are built once per run
         and take the record as their event argument, so an attempt
         allocates no closures (docs/PERFORMANCE.md).
+
+        A policy-free run is the :data:`ZERO_POLICY` case: no deadline
+        timer, no hedge, no shedding and no breaker, so every request
+        settles on its one attempt, and the result carries no
+        :class:`ResilienceStats`.
         """
-        policy = self.policy
-        assert policy is not None
+        policy = self.policy or ZERO_POLICY
         topo = self.topology
         traffic = OpenLoopZipfian(
             qps=qps, num_requests=requests, keyspace=topo.total_keys,
@@ -684,6 +491,9 @@ class ClusterSim:
         injectors = self._injectors()
 
         dram_ns = topo.dram_read_ns()
+        # Per-owner pool path: with one CXL device every entry is the
+        # same number; a heterogeneous pool gives each shard the
+        # latency of the device holding its slice.
         pool_ns_by_host = [topo.pool_read_ns(host)
                            for host in range(topo.num_hosts)]
         hit_prob = topo.cache_hit_prob(theta)
@@ -1020,23 +830,26 @@ class ClusterSim:
              else (0.0, 0.0) for recorder in host_sojourn],
             link_injected, link_recovered, absorbed)
 
-        stats = ResilienceStats(
-            ok=counts["ok"], ok_retried=counts["ok_retried"],
-            ok_hedged=counts["ok_hedged"],
-            deadline_exceeded=counts["deadline_exceeded"],
-            rejected=counts["rejected"],
-            retries_issued=budget.issued,
-            retries_suppressed=budget.suppressed,
-            hedges_launched=counts["hedges"],
-            hedge_wins=counts["hedge_wins"],
-            breaker_opens=breaker.opens if breaker is not None else 0,
-            wasted_ns=wasted)
+        stats = None
+        if self.policy is not None:
+            stats = ResilienceStats(
+                ok=counts["ok"], ok_retried=counts["ok_retried"],
+                ok_hedged=counts["ok_hedged"],
+                deadline_exceeded=counts["deadline_exceeded"],
+                rejected=counts["rejected"],
+                retries_issued=budget.issued,
+                retries_suppressed=budget.suppressed,
+                hedges_launched=counts["hedges"],
+                hedge_wins=counts["hedge_wins"],
+                breaker_opens=breaker.opens if breaker is not None else 0,
+                wasted_ns=wasted)
 
         achieved = completed / (last_completion / 1e9)
         self._publish(completed, cluster_sojourn.p99()
                       if len(cluster_sojourn) else 0.0, achieved, hosts)
-        self.telemetry.registry.gauge("cluster.goodput_qps").set(
-            achieved * (stats.successes / completed))
+        if stats is not None:
+            self.telemetry.registry.gauge("cluster.goodput_qps").set(
+                achieved * (stats.successes / completed))
 
         return ClusterResult(
             qps=qps, theta=theta, pool_share=topo.pool_share,

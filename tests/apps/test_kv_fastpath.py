@@ -1,14 +1,14 @@
 """The KvServer lifecycles must replay the per-grant DES byte-for-byte.
 
 ``KvServer.run`` takes the Lindley fast path (no event queue) when
-``workers == 1`` and tracing and spans are off; ``KvServer._run_des`` is
-the event-driven body.  Both read columns from one draw pass made before
-the run.  :func:`reference_des` keeps the historical body — an
-``Engine`` + ``Server`` that draws each query's operation, key and
-service parts when its slot is granted — as the oracle.  Every
-RunResult field, the telemetry registry and the span export must be
-*exactly* equal, because experiment payloads are cached
-content-addressed and compared byte-for-byte.
+``workers == 1`` and tracing and spans are off;
+``KvServer._run_events`` is the event-driven body.  Both read columns
+from one draw pass made before the run.  :func:`reference_des` keeps
+the historical body — an ``Engine`` + ``Server`` that draws each
+query's operation, key and service parts when its slot is granted —
+as the oracle.  Every RunResult field, the telemetry registry and the
+span export must be *exactly* equal, because experiment payloads are
+cached content-addressed and compared byte-for-byte.
 """
 
 import pytest
@@ -134,7 +134,7 @@ def run(server, qps, requests):
 
 
 def run_des(server, qps, requests):
-    return server._run_des(qps, requests)
+    return server._run_events(qps, requests)
 
 
 class TestEquivalence:
@@ -274,7 +274,7 @@ class TestGating:
         assert result.requests == 100
 
     def test_des_body_runs_the_engine(self, study, monkeypatch):
-        """``_run_des`` really enters the engine, even single-worker."""
+        """``_run_events`` really enters the engine, even single-worker."""
         entered = []
         original = Engine.run
 

@@ -2,9 +2,9 @@
 
 ``ClusterSim.run`` skips the event engine when routing is exactly
 hash-shard, every host has one worker and tracing and spans are off;
-``ClusterSim._run_des`` is the event-driven reference.  Every
-ClusterResult field (exact floats) and every registry entry the run
-leaves behind must be equal between the two, because experiment
+``ClusterSim._run_events``, the one event lifecycle, is the reference.
+Every ClusterResult field (exact floats) and every registry entry the
+run leaves behind must be equal between the two, because experiment
 payloads are cached content-addressed and compared byte for byte.
 """
 
@@ -40,7 +40,7 @@ def both(topo, qps, *, theta=0.99, **kwargs):
     fast_tel, des_tel = Telemetry.metrics_only(), Telemetry.metrics_only()
     fast = ClusterSim(topo, telemetry=fast_tel, **kwargs).run(
         qps, theta=theta, requests=REQUESTS)
-    des = ClusterSim(topo, telemetry=des_tel, **kwargs)._run_des(
+    des = ClusterSim(topo, telemetry=des_tel, **kwargs)._run_events(
         qps, theta=theta, requests=REQUESTS, write_fraction=0.05)
     return fast, des, fast_tel.registry.snapshot(), \
         des_tel.registry.snapshot()

@@ -242,7 +242,9 @@ class TestPoliciedSpanClosure:
     end-to-end latency: deadline waits, retry backoffs, hedge waits and
     shed rejects are all segments, so nothing the client waited through
     goes unattributed.  The waterfall is summed in a different order
-    than the clock advanced, so the sums agree to float rounding."""
+    than the clock advanced, so the sums agree to float rounding.  A
+    policy-free run is the zero-policy case of the same lifecycle and
+    closes the same way."""
 
     @pytest.fixture
     def engines(self, monkeypatch):
@@ -297,5 +299,12 @@ class TestPoliciedSpanClosure:
         stats = result.resilience
         assert stats.ok_retried > 0 and stats.deadline_exceeded > 0
         assert any(name == "retry.backoff" for *_, segments in settled
+                   for name, _ in segments)
+        self._assert_closes(result, settled)
+
+    def test_policy_free_waterfalls_close(self, engines):
+        result, settled = self._waterfalls(engines, None)
+        assert result.resilience is None
+        assert any(name == "fault.stall" for *_, segments in settled
                    for name, _ in segments)
         self._assert_closes(result, settled)

@@ -1,19 +1,23 @@
-"""Byte-identity pins for the policied ``ClusterSim.run`` lifecycle.
+"""Byte-identity pins for the ``ClusterSim.run`` event lifecycle.
 
-``data/resilient_pins.json`` holds, for a grid of policied runs, the
-exact output the lifecycle produced when the fixture was captured:
+``data/resilient_pins.json`` holds, for a grid of runs, the exact
+output the lifecycle produced when the fixture was captured:
 every :class:`~repro.cluster.sim.ClusterResult` field (floats by
 ``repr``), the telemetry registry snapshot (``sim.engine.
 events_processed`` included) and digests of the span records, the
 trace and the engine's schedule log (callback name and time of every
 scheduled event, in sequence-number order).  Any change to an event,
-its sequence number, a float operation or an RNG draw of the policied
-path shows up here as a named diff.
+its sequence number, a float operation or an RNG draw of the event
+lifecycle shows up here as a named diff.
 
 The grid covers the four policied presets plus one custom policy with
 all five knobs set (deadline, retries with a budget, hedging, breaker,
 shedding), each with and without a sick host, then a link-down, the
-least-loaded router, 2-worker hosts, and spans and tracing on.
+least-loaded router, 2-worker hosts, and spans and tracing on.  The
+policy-free cases (``policy=None``) each miss the Lindley gate of
+``ClusterSim.run``, so they pin the event lifecycle with no policy;
+their schedule log is pinned by event time only, which leaves the
+callback names free to change.
 
 Regenerate the fixture only for a deliberate behaviour change::
 
@@ -59,7 +63,7 @@ POLICIES["custom"] = CUSTOM
 
 @dataclasses.dataclass(frozen=True)
 class Case:
-    policy: str
+    policy: str | None
     sick: bool = False
     link_down: bool = False
     router: str = "hash-shard"
@@ -68,7 +72,7 @@ class Case:
 
     @property
     def name(self) -> str:
-        parts = [self.policy]
+        parts = [self.policy or "none"]
         if self.sick:
             parts.append("sick")
         if self.link_down:
@@ -94,6 +98,12 @@ CASES = [Case(name, sick=sick) for name in POLICIES
     Case("unbudgeted", sick=True, observed=True),
     Case("custom", sick=True, link_down=True, router="least-loaded",
          observed=True),
+]
+FREE_CASES = [
+    Case(None, router="least-loaded"),
+    Case(None, workers=2),
+    Case(None, sick=True, link_down=True, workers=2),
+    Case(None, router="least-loaded", observed=True),
 ]
 
 
@@ -132,13 +142,13 @@ def topology(workers: int = 1) -> ClusterTopology:
 
 
 def observe(case: Case) -> dict:
-    """The exact output of one policied run."""
+    """The exact output of one run."""
     topo = topology(case.workers)
     spans = RecordingSpans() if case.observed else None
     tracer = Tracer(process_name="pins") if case.observed else None
     telemetry = Telemetry(registry=Registry(), tracer=tracer, spans=spans)
     sim = ClusterSim(topo, router=case.router, seed=17,
-                     policy=POLICIES[case.policy],
+                     policy=POLICIES.get(case.policy),
                      fault_plans={SICK_HOST: SICK} if case.sick else None,
                      link_down=LINK if case.link_down else None,
                      telemetry=telemetry)
@@ -157,7 +167,8 @@ def observe(case: Case) -> dict:
     return {
         "result": _exact(dataclasses.asdict(result)),
         "registry": _exact(telemetry.registry.snapshot()),
-        "schedule": _digest(log),
+        "schedule": _digest(log if case.policy is not None
+                            else [time for _, time in log]),
         "spans": _digest(spans.records) if spans is not None else None,
         "trace": _digest(tracer.chrome_trace())
         if tracer is not None else None,
@@ -170,11 +181,21 @@ def pins() -> dict:
 
 
 def test_fixture_covers_the_grid(pins):
-    assert sorted(pins) == sorted(case.name for case in CASES)
+    assert sorted(pins) == sorted(case.name
+                                  for case in CASES + FREE_CASES)
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
 def test_policied_run_is_pinned(case, pins):
+    _assert_pinned(case, pins)
+
+
+@pytest.mark.parametrize("case", FREE_CASES, ids=lambda case: case.name)
+def test_policy_free_run_is_pinned(case, pins):
+    _assert_pinned(case, pins)
+
+
+def _assert_pinned(case: Case, pins: dict) -> None:
     observed = observe(case)
     expected = pins[case.name]
     assert observed["result"] == expected["result"]
@@ -192,6 +213,8 @@ def test_grid_exercises_every_mechanism(pins):
     totals: dict[str, int] = {}
     for entry in pins.values():
         stats = entry["result"]["resilience"]
+        if stats is None:
+            continue             # a policy-free run
         for field in ("ok_retried", "ok_hedged", "deadline_exceeded",
                       "rejected", "retries_suppressed", "breaker_opens"):
             totals[field] = totals.get(field, 0) + stats[field]
@@ -203,6 +226,7 @@ def test_grid_exercises_every_mechanism(pins):
 if __name__ == "__main__":
     FIXTURE.parent.mkdir(exist_ok=True)
     FIXTURE.write_text(json.dumps(
-        {case.name: observe(case) for case in CASES},
+        {case.name: observe(case) for case in CASES + FREE_CASES},
         indent=1, sort_keys=True) + "\n")
-    sys.stdout.write(f"wrote {len(CASES)} pins to {FIXTURE}\n")
+    sys.stdout.write(
+        f"wrote {len(CASES) + len(FREE_CASES)} pins to {FIXTURE}\n")
