@@ -64,9 +64,13 @@ LLC_USABLE_FRACTION = 0.5
 
 
 class QueryDraws(NamedTuple):
-    """Columns of drawn queries, in draw (request-index) order."""
+    """Columns of drawn queries, in draw (request-index) order.
 
-    ops: list[Operation]
+    Read-only (a tuple and non-writeable arrays): stores built by one
+    :class:`~repro.apps.kvstore.RedisYcsbStudy` share them.
+    """
+
+    ops: tuple[Operation, ...]
     keys: np.ndarray          # int64
     cpu: np.ndarray           # CPU part, ns
     misses: np.ndarray        # effective misses, factors applied
@@ -78,7 +82,8 @@ class KvStore:
     def __init__(self, system: System, policy: PlacementPolicy, *,
                  workload: YcsbWorkload, num_keys: int = 1_000_000,
                  capacity_keys: int | None = None,
-                 rng: np.random.Generator | None = None) -> None:
+                 rng: np.random.Generator | None = None,
+                 draw_memo: dict | None = None) -> None:
         if num_keys <= 0:
             raise WorkloadError(f"num_keys must be positive: {num_keys}")
         self.system = system
@@ -96,6 +101,7 @@ class KvStore:
             self.capacity_keys * self.record_bytes, policy)
         self.chooser = workload.make_chooser(num_keys)
         self._rng = rng if rng is not None else np.random.default_rng(0)
+        self._draw_memo = draw_memo
         # Unloaded read path per node, precomputed once.
         self._node_read_ns = {
             node.node_id: system.edge_ns()
@@ -252,7 +258,41 @@ class KvStore:
         separating the draws from the arithmetic changes no value;
         the factors are applied to ``misses`` column-wise in the
         scalar path's order, the same IEEE operations.
+
+        With a ``draw_memo`` (a :class:`RedisYcsbStudy` hands one dict
+        to every store it builds), a pass runs once per distinct input.
+        The memo key is everything the pass reads: the workload, the
+        keyspace and its capacity, the cache-hit probability, ``count``,
+        ``inserts``, whether ``rng`` is the store's stream, and both
+        generators' full states.  A repeat restores both generators to
+        their end states, grows the keyspace by the pass's inserts, and
+        returns the shared read-only columns.
         """
+        memo = self._draw_memo
+        if memo is None:
+            return self._draw_pass(rng, count, inserts)
+        own = self._rng
+        key = (self.workload, self.num_keys, self.capacity_keys,
+               self._cache_hit_prob, count, inserts, rng is own,
+               _frozen(rng.bit_generator.state),
+               _frozen(own.bit_generator.state))
+        entry = memo.get(key)
+        if entry is None:
+            draws = self._draw_pass(rng, count, inserts)
+            memo[key] = (draws, rng.bit_generator.state,
+                         own.bit_generator.state, self.num_keys)
+            return draws
+        draws, rng_state, own_state, num_keys = entry
+        rng.bit_generator.state = rng_state
+        own.bit_generator.state = own_state
+        if num_keys != self.num_keys:
+            self.num_keys = num_keys
+            self.chooser.grow(num_keys)
+        return draws
+
+    def _draw_pass(self, rng: np.random.Generator, count: int,
+                   inserts: bool) -> QueryDraws:
+        """The per-query loop of :meth:`draw_queries`."""
         next_operation = self.workload.next_operation
         next_key = self.chooser.next_key
         insert_record = self.insert_record
@@ -273,7 +313,11 @@ class KvStore:
         misses = np.where(writes, misses * WRITE_MISS_FACTOR, misses)
         misses = np.where(np.array(cache_u) < self._cache_hit_prob,
                           misses * CACHE_HIT_MISS_FACTOR, misses)
-        return QueryDraws(ops, np.array(keys, dtype=np.int64), cpu, misses)
+        draws = QueryDraws(tuple(ops), np.array(keys, dtype=np.int64),
+                           cpu, misses)
+        for column in draws[1:]:
+            column.flags.writeable = False
+        return draws
 
     def miss_node_split(self, key: int) -> tuple[float, float]:
         """``(dram_share_ns, cxl_share_ns)`` of the per-miss latency.
@@ -304,6 +348,12 @@ class KvStore:
         for value in service.tolist():
             total += value               # sequential, never np.sum
         return total / samples
+
+
+def _frozen(state: dict) -> tuple:
+    """A hashable copy of a ``bit_generator.state`` dict."""
+    return tuple((name, _frozen(value) if isinstance(value, dict) else value)
+                 for name, value in state.items())
 
 
 def _round_lines(nbytes: int) -> int:

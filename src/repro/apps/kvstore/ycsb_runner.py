@@ -23,7 +23,14 @@ SATURATION_HEADROOM = 0.97
 
 
 class RedisYcsbStudy:
-    """Builds stores at given CXL fractions and measures p99 / max QPS."""
+    """Builds stores at given CXL fractions and measures p99 / max QPS.
+
+    Every store is seeded alike and every server draws from the same
+    ``arrivals`` substream, so each point of a sweep over fractions and
+    QPS draws the same queries.  The study owns one draw memo and hands
+    it to every store it builds; :meth:`KvStore.draw_queries` then
+    draws each distinct stream once.
+    """
 
     def __init__(self, system: System, *, num_keys: int = 200_000,
                  seed: int = 1) -> None:
@@ -32,6 +39,7 @@ class RedisYcsbStudy:
         self.system = system
         self.num_keys = num_keys
         self.seed = seed
+        self._draw_memo: dict = {}
 
     # -- placement -----------------------------------------------------------
 
@@ -54,7 +62,8 @@ class RedisYcsbStudy:
         policy = self.policy_for_fraction(cxl_fraction)
         return KvStore(self.system, policy, workload=workload,
                        num_keys=self.num_keys,
-                       rng=np.random.default_rng(self.seed))
+                       rng=np.random.default_rng(self.seed),
+                       draw_memo=self._draw_memo)
 
     # -- Fig 6: p99 vs QPS ---------------------------------------------------
 
@@ -68,69 +77,21 @@ class RedisYcsbStudy:
             store.free()
 
     def p99_curve(self, workload: YcsbWorkload, cxl_fraction: float,
-                  qps_points: list[float], *, requests: int = 15_000,
-                  jobs: int = 1) -> Series:
-        """One Fig-6 curve: p99 sojourn (µs) versus offered QPS.
-
-        Each point builds its own store from the same seed, so points
-        are independent: ``jobs > 1`` fans them across worker processes
-        and reassembles the series in QPS order, bit-identical to the
-        serial loop.
-        """
+                  qps_points: list[float], *,
+                  requests: int = 15_000) -> Series:
+        """One Fig-6 curve: p99 sojourn (µs) versus offered QPS."""
         label = f"{int(cxl_fraction * 100)}%-CXL"
         series = Series(label, x_label="QPS", y_label="p99 (us)")
-        if jobs > 1 and len(qps_points) > 1:
-            from ...parallel import ParallelRunner
-            from ...parallel.sweeps import run_kv_p99_point
-            specs = [(self.system, self.num_keys, self.seed, workload,
-                      cxl_fraction, qps, requests) for qps in qps_points]
-            names = [f"fig6[{label},qps={qps:g}]" for qps in qps_points]
-            results = ParallelRunner(jobs, names=names).map(
-                run_kv_p99_point, specs)
-        else:
-            results = [self.p99_point(workload, cxl_fraction, qps,
-                                      requests=requests)
-                       for qps in qps_points]
-        for qps, result in zip(qps_points, results):
-            series.append(qps, result.p99_us)
+        for qps in qps_points:
+            series.append(qps, self.p99_point(workload, cxl_fraction, qps,
+                                              requests=requests).p99_us)
         return series
 
     def p99_curves(self, workload: YcsbWorkload,
                    cxl_fractions: list[float],
-                   qps_points: list[float], *, requests: int = 15_000,
-                   jobs: int = 1) -> list[Series]:
-        """Every Fig-6 curve in one flat (fraction × QPS) sweep.
-
-        With ``jobs > 1`` each *(fraction, qps)* pair is its own worker
-        unit — finer sharding than one-curve-at-a-time, so a handful of
-        workers keeps busy across the whole figure instead of stalling
-        at each curve boundary.  Results reassemble fraction-major,
-        QPS-minor, byte-identical to the serial nested loop.
-        """
-        if jobs > 1 and len(cxl_fractions) * len(qps_points) > 1:
-            from ...parallel import ParallelRunner
-            from ...parallel.sweeps import run_kv_p99_point
-            specs = []
-            names = []
-            for fraction in cxl_fractions:
-                label = f"{int(fraction * 100)}%-CXL"
-                for qps in qps_points:
-                    specs.append((self.system, self.num_keys, self.seed,
-                                  workload, fraction, qps, requests))
-                    names.append(f"fig6[{label},qps={qps:g}]")
-            results = ParallelRunner(jobs, names=names).map(
-                run_kv_p99_point, specs)
-            curves = []
-            for index, fraction in enumerate(cxl_fractions):
-                label = f"{int(fraction * 100)}%-CXL"
-                series = Series(label, x_label="QPS", y_label="p99 (us)")
-                offset = index * len(qps_points)
-                for qps, result in zip(
-                        qps_points,
-                        results[offset:offset + len(qps_points)]):
-                    series.append(qps, result.p99_us)
-                curves.append(series)
-            return curves
+                   qps_points: list[float], *,
+                   requests: int = 15_000) -> list[Series]:
+        """Every Fig-6 curve, one per CXL fraction."""
         return [self.p99_curve(workload, fraction, qps_points,
                                requests=requests)
                 for fraction in cxl_fractions]

@@ -11,7 +11,7 @@ from .registry import ExperimentResult, register
 
 
 @register("fig6", "Redis p99 latency (YCSB-A)", "Fig. 6, §5.1")
-def run(fast: bool, jobs: int = 1) -> ExperimentResult:
+def run(fast: bool) -> ExperimentResult:
     system = build_system(combined_testbed())
     study = RedisYcsbStudy(system, num_keys=200_000)
     workload = WORKLOADS["A"]
@@ -20,7 +20,7 @@ def run(fast: bool, jobs: int = 1) -> ExperimentResult:
                    55_000.0, 60_000.0, 65_000.0, 70_000.0, 80_000.0])
     requests = 6_000 if fast else 20_000
     curves = study.p99_curves(workload, [0.0, 0.5, 1.0], qps_points,
-                              requests=requests, jobs=jobs)
+                              requests=requests)
     rendered = series_table(curves,
                             title="Fig 6: Redis p99 (us) vs QPS, YCSB-A")
 

@@ -2,7 +2,7 @@
 
 Everything here is a module-level function taking one picklable spec —
 the form :class:`~repro.parallel.runner.ParallelRunner` requires.
-Three unit shapes cover the repo's sweeps:
+Four unit shapes cover the repo's sweeps:
 
 * :func:`run_sim_point` — one DES configuration (a
   :class:`~repro.cxl.e2e_sim.CxlEndToEndSim` /
@@ -10,8 +10,6 @@ Three unit shapes cover the repo's sweeps:
   the worker's telemetry exported for in-order merging;
 * :func:`run_experiment` — one whole registered experiment (the
   ``repro-experiments --jobs`` unit);
-* :func:`run_kv_p99_point` — one (workload, placement, QPS) point of a
-  Redis-YCSB p99 curve (Fig 6's inner shard);
 * :func:`run_cluster_point` — one (QPS, skew, pool-share) point of the
   figC cluster-pooling sweep: builds the topology *inside* the worker
   (pool carving is per-point state) and runs the cluster DES;
@@ -127,22 +125,6 @@ def run_experiment(spec: tuple) -> Any:
                                   fault_plan=fault_plan,
                                   span_config=span_config,
                                   resilience=resilience)
-
-
-def run_kv_p99_point(spec: tuple) -> Any:
-    """One Redis-YCSB p99 point: build the store, drive the server.
-
-    ``spec = (system, num_keys, seed, workload, cxl_fraction, qps,
-    requests)``; returns the :class:`~repro.apps.kvstore.server.RunResult`.
-    Each point builds (and frees) its own store exactly as the serial
-    loop does, so results match bit-for-bit.
-    """
-    system, num_keys, seed, workload, cxl_fraction, qps, requests = spec
-    from ..apps.kvstore.ycsb_runner import RedisYcsbStudy
-
-    study = RedisYcsbStudy(system, num_keys=num_keys, seed=seed)
-    return study.p99_point(workload, cxl_fraction, qps,
-                           requests=requests)
 
 
 def run_cluster_point(spec: tuple) -> tuple[Any, dict | None]:

@@ -6,14 +6,12 @@ import pytest
 
 from repro import build_system, combined_testbed
 from repro.apps.dsb import DsbRunner
-from repro.apps.kvstore import RedisYcsbStudy
 from repro.cxl.e2e_sim import CxlEndToEndSim, CxlWriteEndToEndSim
 from repro.experiments import REGISTRY, get
 from repro.experiments.registry import ExperimentResult
 from repro.experiments.runner import main
 from repro.parallel import ResultCache, result_key
 from repro.telemetry import Telemetry
-from repro.workloads import WORKLOADS
 
 THREADS = [1, 2, 4]
 LINES = 200
@@ -50,19 +48,11 @@ class TestSweepDeterminism:
 
 
 class TestCurveSharding:
-    """Fig 6/10 p99 curves shard per point — same series either way."""
+    """Fig 10 p99 curves shard per point — same series either way."""
 
     @pytest.fixture(scope="class")
     def system(self):
         return build_system(combined_testbed())
-
-    def test_kv_p99_curve_parallel_equals_serial(self, system):
-        study = RedisYcsbStudy(system, num_keys=5_000)
-        qps = [10_000.0, 30_000.0, 50_000.0]
-        serial = study.p99_curve(WORKLOADS["A"], 0.5, qps, requests=400)
-        parallel = study.p99_curve(WORKLOADS["A"], 0.5, qps,
-                                   requests=400, jobs=2)
-        assert parallel == serial        # Series is a dataclass
 
     def test_dsb_p99_curve_parallel_equals_serial(self, system):
         qps = [200.0, 600.0]
@@ -84,18 +74,6 @@ class TestCurveSharding:
             == [e.key() for e in serial.tracer.events]
         assert merged.registry.snapshot() == serial.registry.snapshot()
 
-    def test_kv_p99_curves_flat_shard_equals_serial(self, system):
-        # The fig6 whole-figure sweep: every (fraction, qps) pair is
-        # its own worker unit, reassembled fraction-major.
-        study = RedisYcsbStudy(system, num_keys=5_000)
-        qps = [10_000.0, 30_000.0]
-        fractions = [0.0, 0.5, 1.0]
-        serial = study.p99_curves(WORKLOADS["A"], fractions, qps,
-                                  requests=400)
-        parallel = study.p99_curves(WORKLOADS["A"], fractions, qps,
-                                    requests=400, jobs=2)
-        assert parallel == serial
-
     def test_dsb_p99_curves_flat_shard_equals_serial(self, system):
         # The fig10 whole-figure sweep: (runner, request-type) combos
         # crossed with QPS points, one unit each.
@@ -113,7 +91,9 @@ class TestCurveSharding:
         assert parallel == serial
 
     def test_only_des_heavy_experiments_shard_internally(self):
-        assert REGISTRY["fig6"].accepts_jobs
+        # fig6 draws its queries once per study (KvStore.draw_queries),
+        # so it runs as one unit: per-point shards would redraw them.
+        assert not REGISTRY["fig6"].accepts_jobs
         assert REGISTRY["fig10"].accepts_jobs
         assert not REGISTRY["fig3"].accepts_jobs
         assert not REGISTRY["table1"].accepts_jobs
